@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, join, parse_degree
+from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 
 class FuzzySet:

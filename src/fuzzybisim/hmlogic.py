@@ -39,7 +39,7 @@ from .automata import FuzzyAutomaton, delta_rel
 from .errors import InputError, NonConvergenceError
 from .fuzzyrel import FuzzyRelation, FuzzySet
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
-from .simrel import greatest_fuzzy_bisimulation, greatest_fuzzy_simulation
+from .simrel import _norm_kind, greatest_fuzzy_bisimulation, greatest_fuzzy_simulation
 
 DEFAULT_POOL_CAP = 64
 
@@ -76,15 +76,6 @@ class And:
 Formula = Union[Tau, Step, Implies, Iff, And]
 
 TAU = Tau()
-
-
-def _fragment_bidir(fragment) -> bool:
-    f = str(fragment).lower()
-    if f in ("sim", "simulation"):
-        return False
-    if f in ("bisim", "bisimulation"):
-        return True
-    raise InputError(f"unknown fragment {fragment!r}; expected sim or bisim")
 
 
 # ---------------------------------------------------------------- semantics
@@ -249,7 +240,7 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
     the given step-depth.  Antitone in depth; always above the true degree."""
     if depth < 0:
         raise InputError("depth must be >= 0")
-    bidir = _fragment_bidir(fragment)
+    bidir = _norm_kind(fragment) == "bisimulation"
     op = lat.biresiduum if bidir else lat.residuum
     pool = constant_pool(lat, a, ap, depth, pool_cap)
     atoms = _top_atoms(lat, a, ap, depth, bidir, pool)
@@ -273,7 +264,7 @@ def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutom
     """The atom formulas whose readouts realize hm_degree_bounded."""
     if depth < 0:
         raise InputError("depth must be >= 0")
-    bidir = _fragment_bidir(fragment)
+    bidir = _norm_kind(fragment) == "bisimulation"
     pool = constant_pool(lat, a, ap, depth, pool_cap)
     return [formula for formula, _va, _vb in _top_atoms(lat, a, ap, depth, bidir, pool)]
 
@@ -288,7 +279,7 @@ def hm_agreement(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
                  depth: int, fragment, max_iters=None,
                  pool_cap: int = DEFAULT_POOL_CAP) -> HMAgreementReport:
     """Compare the bounded formula infimum against the greatest fixpoint."""
-    bidir = _fragment_bidir(fragment)
+    bidir = _norm_kind(fragment) == "bisimulation"
     relation = hm_degree_bounded(lat, a, ap, depth, fragment, pool_cap)
     compute = greatest_fuzzy_bisimulation if bidir else greatest_fuzzy_simulation
     report = compute(lat, a, ap)
@@ -316,7 +307,7 @@ def distinguishing_formula(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyA
     if depth < 0:
         raise InputError("depth must be >= 0")
     target = parse_degree(target)
-    bidir = _fragment_bidir(fragment)
+    bidir = _norm_kind(fragment) == "bisimulation"
     op = lat.biresiduum if bidir else lat.residuum
     pool = constant_pool(lat, a, ap, depth, pool_cap)
     for formula, va, vb in _top_atoms(lat, a, ap, depth, bidir, pool):

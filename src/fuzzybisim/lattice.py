@@ -19,6 +19,8 @@ lattice meet and join are plain min and max.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,7 +53,7 @@ def parse_degree(value) -> Fraction:
         )
     elif isinstance(value, str):
         try:
-            degree = Fraction(value.strip())
+            degree = _parse_rational(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational literal: {value!r}") from exc
     else:
@@ -61,9 +63,30 @@ def parse_degree(value) -> Fraction:
     return degree
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        # past the interpreter's int/str digit limit, "p/q" and plain decimal
+        # literals still convert exactly through Decimal
+        match = re.fullmatch(r"(\d+)/(\d+)|\d*\.?\d+", text)
+        if match is None:
+            raise
+        if match[1] is None:
+            return Fraction(Decimal(text))
+        return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
+
+
 def format_degree(degree: Fraction) -> str:
-    """Canonical text form: reduced "p/q", or "0"/"1" for the bounds. Never decimal."""
-    return str(degree)
+    """Canonical text form: reduced "p/q", or "0"/"1" for the bounds. Never decimal.
+
+    Exact at any size: terms past the interpreter's int/str digit limit
+    are written through Decimal, which that limit does not apply to.
+    """
+    try:
+        return str(degree)
+    except ValueError:
+        return f"{Decimal(degree.numerator)}/{Decimal(degree.denominator)}"
 
 
 class ResiduatedLattice:

@@ -10,18 +10,42 @@ and a fuzzy bisimulation when phi^-1 is a fuzzy simulation in the other
 direction as well.  The plain ("crisp") notions additionally require the
 initial sets to be covered: sigma <= sigma' o phi^-1 (and symmetrically).
 
-The greatest such relation is computed by chaotic iteration downward from
-the terminal-residuum candidate
+The greatest such relation is computed downward from the
+terminal-residuum candidate
 
     phi_0(x, x') = tau(x) -> tau'(x')          (<-> for bisimulations)
 
-refining every pair each sweep with
+by Jacobi sweeps phi_{k+1} = F(phi_k) of the refinement operator
 
-    phi(x, x') <= delta_s(x, y) -> (delta'_s o phi^-1)(x', y)
+    F(phi)(x, x') = phi(x, x') /\\ inf over s, y of
+                    delta_s(x, y) -> (delta'_s o phi^-1)(x', y)
 
-(for all s and y, plus the mirrored constraint for bisimulations) until the
-iterate stabilizes exactly.  Exact rational arithmetic makes the
-stabilization test a plain equality.
+(meeting also the mirrored constraint for bisimulations): each sweep
+computes every pair from phi_k alone, until an iterate repeats exactly.
+`iterations` counts the sweeps, the last one included.  Exact arithmetic
+makes that test a plain equality.
+
+The sweeps run on coded degrees, fixed once per (lattice, A, A').  A sweep
+applies only the t-norm, the residuum, min and max to the delta, delta',
+tau and tau' degrees and to values it made itself, so any set of degrees
+that holds those and is closed under the four operations holds every
+iterate.  For Godel and Lukasiewicz such a set is finite, and its members
+get integer codes:
+
+* Godel: the set V of those degrees plus 0 and 1 is closed, since
+  min(p, q) is p or q and p -> q is 1 or q.  A degree is coded by its rank
+  in V; ranks are ordered like the degrees, so min, max and the residuum
+  (top if p <= q else q) act on ranks unchanged.
+* Lukasiewicz: with D the lcm of those degrees' denominators, the grid
+  {k/D : 0 <= k <= D} is closed, since max(0, p + q - 1) and
+  min(1, 1 - p + q) of grid points are grid points.  k/D is coded by k, so
+  p (x) q = max(0, p + q - D) and p -> q = D if p <= q else D - p + q.
+* Product: p * q and q / p leave every finite grid, so the degrees stay
+  Fractions under the lattice's own operations.
+
+phi_0 is computed on Fractions with the lattice's residuum and then
+encoded; iterates are decoded only when handed out, so every result is
+the exact Fraction the uncoded iteration gives.
 
 When the two automata have different alphabets, every condition quantifies
 over the union, with a missing symbol contributing the empty relation.
@@ -30,6 +54,7 @@ over the union, with a missing symbol contributing the empty relation.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,96 +230,125 @@ def bisim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
 # ---------------------------------------------------------------- fixpoint
 
-class _PairContext:
-    """Per-(A, A') precomputation shared by all refinement sweeps."""
-
-    __slots__ = ("lat", "a", "ap", "symbols", "da_items", "dap_items",
-                 "da_by_src", "dap_by_src")
-
-    def __init__(self, lat, a, ap):
-        self.lat = lat
-        self.a = a
-        self.ap = ap
-        self.symbols = _union_symbols(a, ap)
-        self.da_items = {s: _dr(a, s).items() for s in self.symbols}
-        self.dap_items = {s: _dr(ap, s).items() for s in self.symbols}
-        self.da_by_src = {s: _group_by_src(self.da_items[s]) for s in self.symbols}
-        self.dap_by_src = {s: _group_by_src(self.dap_items[s]) for s in self.symbols}
-
-
-def _group_by_src(items) -> dict:
-    out: dict = {}
-    for (x, y), d in items:
-        out.setdefault(x, []).append((y, d))
-    return out
+def _codec(lat: ResiduatedLattice, degrees: set) -> tuple:
+    """(encode, decode, tnorm, residuum) over the codes of lat for a pair
+    whose delta, delta', tau and tau' degrees are the given set."""
+    if lat.kind == "godel":
+        values = sorted(degrees | {ZERO, ONE})
+        rank = {v: i for i, v in enumerate(values)}
+        top = len(values) - 1
+        return (rank.__getitem__, values.__getitem__, min,
+                lambda p, q: top if p <= q else q)
+    if lat.kind == "lukasiewicz":
+        den = math.lcm(*(d.denominator for d in degrees))
+        return (lambda v: v.numerator * (den // v.denominator),
+                lambda k: Fraction(k, den),
+                lambda p, q: p + q - den if p + q > den else 0,
+                lambda p, q: den if p <= q else den - p + q)
+    return (lambda v: v), (lambda v: v), lat.tnorm, lat.residuum
 
 
-def _initial_candidate(lat, a, ap, bidir: bool) -> dict:
-    out: dict = {}
-    for x in a.states:
-        tx = a.tau.degree(x)
-        for xp in ap.states:
-            txp = ap.tau.degree(xp)
-            v = lat.biresiduum(tx, txp) if bidir else lat.residuum(tx, txp)
-            if v != ZERO:
-                out[(x, xp)] = v
-    return out
+class _Kernel:
+    """The refinement operator F of one (lattice, A, A', kind), over codes.
 
+    An iterate is a flat list of codes indexed by x * |A'| + x', with states
+    numbered by their position; the code of 0 is the only falsy code.
+    """
 
-def _refine_once(ctx: _PairContext, cur: dict, bidir: bool) -> dict:
-    lat = ctx.lat
-    phi_by_second: dict = {}
-    phi_by_first: dict = {}
-    for (y, yp), d in cur.items():
-        phi_by_second.setdefault(yp, []).append((y, d))
-        if bidir:
-            phi_by_first.setdefault(y, []).append((yp, d))
+    __slots__ = ("a", "ap", "bidir", "zero", "decode", "tnorm", "residuum",
+                 "edges", "edges_p", "succ", "succ_p", "phi0")
 
-    # (delta'_s o phi^-1)(x', y) and, for bisimulations, (delta_s o phi)(x, y')
-    comp_fwd: dict = {}
-    comp_bwd: dict = {}
-    for s in ctx.symbols:
-        fwd: dict = {}
-        for (xp, yp), dd in ctx.dap_items[s]:
-            for y, d in phi_by_second.get(yp, ()):
-                v = lat.tnorm(dd, d)
-                key = (xp, y)
-                if v > fwd.get(key, ZERO):
-                    fwd[key] = v
-        comp_fwd[s] = fwd
-        if bidir:
-            bwd: dict = {}
-            for (x, y), dd in ctx.da_items[s]:
-                for yp, d in phi_by_first.get(y, ()):
-                    v = lat.tnorm(dd, d)
-                    key = (x, yp)
-                    if v > bwd.get(key, ZERO):
-                        bwd[key] = v
-            comp_bwd[s] = bwd
+    def __init__(self, lat, a, ap, bidir: bool):
+        self.a, self.ap, self.bidir = a, ap, bidir
+        pos = {x: i for i, x in enumerate(a.states)}
+        pos_p = {x: i for i, x in enumerate(ap.states)}
+        rels = [(_dr(a, s).items(), _dr(ap, s).items()) for s in _union_symbols(a, ap)]
+        degrees = {d for rel, rel_p in rels for _key, d in rel + rel_p}
+        degrees.update(d for _x, d in a.tau.items() + ap.tau.items())
+        encode, self.decode, self.tnorm, self.residuum = _codec(lat, degrees)
+        self.zero = encode(ZERO)
+        # per symbol: the coded transitions as (from, to, code) and grouped by source
+        self.edges = [[(pos[x], pos[y], encode(d)) for (x, y), d in rel] for rel, _ in rels]
+        self.edges_p = [[(pos_p[x], pos_p[y], encode(d)) for (x, y), d in rel_p]
+                        for _, rel_p in rels]
+        self.succ = [_by_src(e, len(pos)) for e in self.edges]
+        self.succ_p = [_by_src(e, len(pos_p)) for e in self.edges_p]
+        op = lat.biresiduum if bidir else lat.residuum
+        self.phi0 = [encode(op(a.tau.degree(x), ap.tau.degree(xp)))
+                     for x in a.states for xp in ap.states]
 
-    nxt: dict = {}
-    for (x, xp), v in cur.items():
-        for s in ctx.symbols:
-            if v == ZERO:
-                break
-            fwd = comp_fwd[s]
-            for y, dd in ctx.da_by_src[s].get(x, ()):
-                r = lat.residuum(dd, fwd.get((xp, y), ZERO))
-                if r < v:
-                    v = r
-                    if v == ZERO:
-                        break
-            if bidir and v != ZERO:
-                bwd = comp_bwd[s]
-                for yp, dd in ctx.dap_by_src[s].get(xp, ()):
-                    r = lat.residuum(dd, bwd.get((x, yp), ZERO))
+    def _compose(self, edges, groups, rows: int, cols: int) -> list:
+        """sup over (x, y, d) in edges and (z, e) in groups[y] of d (x) e, at x * cols + z."""
+        tnorm = self.tnorm
+        out = [self.zero] * (rows * cols)
+        for x, y, d in edges:
+            base = x * cols
+            for z, e in groups[y]:
+                v = tnorm(d, e)
+                if v > out[base + z]:
+                    out[base + z] = v
+        return out
+
+    def refine(self, phi: list) -> list:
+        """F(phi): one Jacobi sweep, every pair computed from phi alone."""
+        n, m, residuum = len(self.a.states), len(self.ap.states), self.residuum
+        support = [i for i, v in enumerate(phi) if v]
+        by_second = [[] for _ in range(m)]      # y' -> [(y, phi(y, y'))]
+        by_first = [[] for _ in range(n)]       # y -> [(y', phi(y, y'))]
+        for i in support:
+            y, yp = divmod(i, m)
+            by_second[yp].append((y, phi[i]))
+            if self.bidir:
+                by_first[y].append((yp, phi[i]))
+        # (succ, mirrored, comp) per constraint: delta_s(x, y) ->
+        # (delta'_s o phi^-1)(x', y) with comp at x' * n + y, and for
+        # bisimulations delta'_s(x', y') -> (delta_s o phi)(x, y') with comp
+        # at x * m + y'
+        checks = []
+        for s, succ in enumerate(self.succ):
+            checks.append((succ, False, self._compose(self.edges_p[s], by_second, m, n)))
+            if self.bidir:
+                checks.append((self.succ_p[s], True, self._compose(self.edges[s], by_first, n, m)))
+        nxt = [self.zero] * (n * m)
+        for i in support:
+            x, xp = divmod(i, m)
+            v = phi[i]
+            for succ, mirrored, comp in checks:
+                src, base = (xp, x * m) if mirrored else (x, xp * n)
+                for y, d in succ[src]:
+                    r = residuum(d, comp[base + y])
                     if r < v:
                         v = r
-                        if v == ZERO:
+                        if not v:
                             break
-        if v != ZERO:
-            nxt[(x, xp)] = v
-    return nxt
+                if not v:
+                    break
+            nxt[i] = v
+        return nxt
+
+    def iterates(self):
+        """phi_0, phi_1, ... up to and including the first repeated iterate."""
+        cur = self.phi0
+        yield cur
+        while True:
+            nxt = self.refine(cur)
+            yield nxt
+            if nxt == cur:
+                return
+            cur = nxt
+
+    def relation(self, phi: list) -> FuzzyRelation:
+        """Decode an iterate."""
+        m, states, states_p = len(self.ap.states), self.a.states, self.ap.states
+        return FuzzyRelation({(states[i // m], states_p[i % m]): self.decode(v)
+                              for i, v in enumerate(phi) if v})
+
+
+def _by_src(edges, size: int) -> list:
+    out = [[] for _ in range(size)]
+    for x, y, d in edges:
+        out[x].append((y, d))
+    return out
 
 
 def refinement_steps(lat: ResiduatedLattice, a: FuzzyAutomaton,
@@ -304,34 +358,21 @@ def refinement_steps(lat: ResiduatedLattice, a: FuzzyAutomaton,
     The generator stops only on exact stabilization; callers that cannot
     rely on termination should bound it themselves.
     """
-    bidir = _norm_kind(kind) == "bisimulation"
-    ctx = _PairContext(lat, a, ap)
-    cur = _initial_candidate(lat, a, ap, bidir)
-    yield FuzzyRelation(cur)
-    while True:
-        nxt = _refine_once(ctx, cur, bidir)
-        yield FuzzyRelation(nxt)
-        if nxt == cur:
-            return
-        cur = nxt
+    kernel = _Kernel(lat, a, ap, _norm_kind(kind) == "bisimulation")
+    for phi in kernel.iterates():
+        yield kernel.relation(phi)
 
 
 def _greatest(lat, a, ap, kind: str, max_iters) -> SimReport:
     kindn = _norm_kind(kind)
     bidir = kindn == "bisimulation"
     cap = resolve_max_iters(max_iters)
-    ctx = _PairContext(lat, a, ap)
-    cur = _initial_candidate(lat, a, ap, bidir)
-    sweeps = 0
-    converged = False
-    while sweeps < cap:
-        nxt = _refine_once(ctx, cur, bidir)
-        sweeps += 1
-        if nxt == cur:
-            converged = True
-            break
-        cur = nxt
-    relation = FuzzyRelation(cur)
+    kernel = _Kernel(lat, a, ap, bidir)
+    steps = kernel.iterates()
+    cur, sweeps, converged = next(steps), 0, False
+    for sweeps, nxt in enumerate(itertools.islice(steps, cap), 1):
+        converged, cur = nxt == cur, nxt
+    relation = kernel.relation(cur)
     norm = (bisim_norm if bidir else sim_norm)(lat, a, ap, relation)
     return SimReport(relation=relation, norm=norm, kind=kindn,
                      iterations=sweeps, converged=converged)

@@ -5,8 +5,17 @@ import sys
 
 import pytest
 
-from fuzzybisim import serialize_relation, greatest_fuzzy_simulation, GOEDEL
+from fuzzybisim import (
+    GOEDEL,
+    FuzzyAutomaton,
+    greatest_fuzzy_simulation,
+    report_from_obj,
+    report_to_obj,
+    serialize_automaton,
+    serialize_relation,
+)
 from fuzzybisim.cli import main
+from fuzzybisim.oracle import random_automaton
 
 from conftest import FIXTURES
 
@@ -117,6 +126,33 @@ def test_greatest_sim_iteration_cap(capsys):
     code, out, _ = run(capsys, "greatest-sim", A, AP, "--max-iters", "1")
     assert code == 3
     assert json.loads(out)["converged"] is False
+
+
+def test_zero_cap_prints_the_terminal_residuum(capsys):
+    code, out, _ = run(capsys, "greatest-sim", A, AP, "--max-iters", "0", "--output", "text")
+    assert code == 3
+    assert out == ("greatest fuzzy simulation\nnorm: 3/5\niterations: 0\nconverged: false\n"
+                   "  u u' 1\n  u v' 1\n  u w' 1\n  v v' 1\n  v w' 1\n  w v' 3/5\n  w w' 1\n")
+
+
+def test_unconverged_report_past_the_digit_limit(capsys, tmp_path):
+    # a product self-simulation whose off-diagonal degrees shrink geometrically:
+    # their denominators gain 2 bits a sweep and pass 4300 decimal digits, the
+    # interpreter's default int/str conversion limit, near sweep 7150
+    tenths = [f"{i}/10" for i in range(1, 11)]
+    a = random_automaton("A", 3, ["a", "b"], tenths, 18, density=0.4)
+    copy = FuzzyAutomaton("A2", a.states, a.alphabet, dict(a.transitions()), a.sigma, a.tau)
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa.write_text(serialize_automaton(a))
+    fb.write_text(serialize_automaton(copy))
+    code, out, _ = run(capsys, "greatest-sim", str(fa), str(fb), "--lattice", "product",
+                       "--max-iters", "7200")
+    assert code == 3
+    obj = json.loads(out)
+    assert max(len(term) for e in obj["relation"] for term in e["degree"].split("/")) > 4300
+    report = report_from_obj(obj)
+    assert not report.converged and report.iterations == 7200
+    assert report_to_obj(report) == obj
 
 
 def test_greatest_bisim_text(capsys):

@@ -103,6 +103,15 @@ def test_format_degree():
     assert format_degree(ONE) == "1"
     assert format_degree(ZERO) == "0"
     assert parse_degree(format_degree(Fraction(123, 457))) == Fraction(123, 457)
+    # terms past the default 4300-digit int/str conversion limit
+    big = Fraction(3 ** 9500, 3 ** 9500 + 2)
+    text = format_degree(big)
+    assert len(text) > 2 * 4300 and "/" in text
+    assert parse_degree(text) == big
+    assert parse_degree("0." + "3" * 5000) == Fraction(10 ** 5000 - 1, 3 * 10 ** 5000)
+    for bad in ("1" * 5000 + "/0", "2" * 5000 + "/" + "1" * 5000, "-" + "1" * 5000):
+        with pytest.raises(InputError):
+            parse_degree(bad)
 
 
 def test_inf_sup_conventions():

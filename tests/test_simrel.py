@@ -9,6 +9,7 @@ from fuzzybisim import (
     LUKASIEWICZ,
     ONE,
     PRODUCT,
+    FuzzyAutomaton,
     FuzzyRelation,
     approx_from_greatest,
     bisim_norm,
@@ -33,6 +34,13 @@ from fuzzybisim import (
     verify_preservation,
 )
 from fuzzybisim.errors import InputError, NonConvergenceError
+from fuzzybisim.oracle import (
+    is_fuzzy_bisimulation_bruteforce,
+    is_fuzzy_simulation_bruteforce,
+    random_automaton,
+    shrink_to_bisimulation,
+    shrink_to_simulation,
+)
 
 GREATEST_SIM_GODEL = FuzzyRelation({
     ("u", "u'"): "7/10",
@@ -301,3 +309,46 @@ def test_alphabet_union_blocks_unmatched_symbols(aut_a):
     # the mirrored condition kills the leaves too: p moves on t, they cannot
     bisim = greatest_fuzzy_bisimulation(GOEDEL, aut_a, other)
     assert bisim.relation == FuzzyRelation()
+
+
+# Pairs whose degrees stress the coded fixpoint: Lukasiewicz degrees over
+# denominators 3, 7 and 20 (common denominator 420, not 10); a Godel terminal
+# degree (3/7, 2/9) that no transition carries; a symbol t that only one
+# automaton reads
+_MIXED = ("1/3", "2/7", "7/20", "1")
+_TAU_ONLY = (
+    FuzzyAutomaton("A", ["p", "q"], ["a"], {("p", "a", "q"): "1/2", ("q", "a", "q"): "1"},
+                   {"p": "1"}, {"p": "1/2", "q": "3/7"}),
+    FuzzyAutomaton("B", ["r", "s"], ["a"], {("r", "a", "s"): "1", ("s", "a", "s"): "1/2"},
+                   {"r": "1"}, {"r": "1", "s": "2/9"}),
+)
+_ONE_SIDED = (
+    FuzzyAutomaton("A", ["p", "q"], ["s"], {("p", "s", "q"): "3/4", ("q", "s", "q"): "1/2"},
+                   {"p": "1"}, {"p": "1/2", "q": "1"}),
+    FuzzyAutomaton("B", ["r", "u"], ["s", "t"],
+                   {("r", "s", "u"): "1", ("u", "s", "u"): "1/2", ("u", "t", "r"): "1/4"},
+                   {"r": "1"}, {"r": "3/4", "u": "1"}),
+)
+
+
+@pytest.mark.parametrize("lat,a,ap", [
+    (LUKASIEWICZ, random_automaton("A", 4, ["a", "b"], _MIXED, 1, density=0.5),
+     random_automaton("B", 4, ["a", "b"], _MIXED, 101, density=0.5)),
+    (GOEDEL, *_TAU_ONLY),
+    (GOEDEL, *_ONE_SIDED),
+    (LUKASIEWICZ, *_ONE_SIDED),
+    (PRODUCT, *_ONE_SIDED),
+], ids=["lukasiewicz-mixed-denominators", "godel-terminal-only-degree", "godel-one-sided",
+        "lukasiewicz-one-sided", "product-one-sided"])
+def test_greatest_matches_oracle(lat, a, ap):
+    everything = FuzzyRelation({(x, y): ONE for x in a.states for y in ap.states})
+    for kind, shrink, brute in (
+        ("sim", shrink_to_simulation, is_fuzzy_simulation_bruteforce),
+        ("bisim", shrink_to_bisimulation, is_fuzzy_bisimulation_bruteforce),
+    ):
+        report = (greatest_fuzzy_simulation if kind == "sim"
+                  else greatest_fuzzy_bisimulation)(lat, a, ap)
+        assert report.converged
+        assert report.relation == shrink(lat, a, ap, everything)
+        assert brute(lat, a, ap, report.relation)
+        assert list(refinement_steps(lat, a, ap, kind=kind))[-1] == report.relation
