@@ -344,8 +344,12 @@ _TOKEN_RE = re.compile(r"""
     | (?P<arrow>->)
     | (?P<step><\s*(?P<sym>[^<>\s]+)\s*>)
     | (?P<tau>T\b)
-    | (?P<rat>\d+(?:\.\d+)?(?:/\d+)?)
+    | (?P<rat>[+-]?\.?\d(?:[eE][+-]|[\w./])*)
     )""", re.VERBOSE)
+
+# deepest nesting of steps, guards and conjunctions parse_formula accepts;
+# evaluation and formatting recurse once per level
+MAX_FORMULA_DEPTH = 500
 
 
 def _lex(text: str) -> list:
@@ -358,31 +362,21 @@ def _lex(text: str) -> list:
                 break
             raise InputError(f"cannot read formula at {text[i:i + 20]!r}")
         i = m.end()
-        if m.group("lpar"):
-            tokens.append(("lpar", "("))
-        elif m.group("rpar"):
-            tokens.append(("rpar", ")"))
-        elif m.group("amp"):
-            tokens.append(("amp", "&"))
-        elif m.group("iff"):
-            tokens.append(("iff", "<->"))
-        elif m.group("arrow"):
-            tokens.append(("arrow", "->"))
-        elif m.group("step"):
-            tokens.append(("step", m.group("sym")))
-        elif m.group("tau"):
-            tokens.append(("tau", "T"))
-        else:
-            tokens.append(("rat", m.group("rat")))
+        kind = m.lastgroup      # the outermost group, so "step" and not "sym"
+        tokens.append((kind, m.group("sym" if kind == "step" else kind)))
     return tokens
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the CLI text syntax; inverse of format_formula."""
+    """Parse the CLI text syntax; inverse of format_formula.
+
+    A guard constant is any literal parse_degree reads (for example "1/2",
+    "0.5", ".5" or "5e-1").
+    """
     tokens = _lex(text)
     if not tokens:
         raise InputError("empty formula")
-    node, pos = _parse(tokens, 0)
+    node, pos = _parse(tokens, 0, 0)
     if pos != len(tokens):
         raise InputError(f"trailing input after formula: {tokens[pos][1]!r}")
     return node
@@ -395,26 +389,28 @@ def _expect(tokens, i, kind):
     return i + 1
 
 
-def _parse(tokens, i):
+def _parse(tokens, i, depth):
     if i >= len(tokens):
         raise InputError("unexpected end of formula")
+    if depth > MAX_FORMULA_DEPTH:
+        raise InputError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
     kind, value = tokens[i]
     if kind == "tau":
         return TAU, i + 1
     if kind == "step":
-        body, j = _parse(tokens, i + 1)
+        body, j = _parse(tokens, i + 1, depth + 1)
         return Step(value, body), j
     if kind == "lpar":
         if (i + 2 < len(tokens) and tokens[i + 1][0] == "rat"
                 and tokens[i + 2][0] in ("arrow", "iff")):
             constant = parse_degree(tokens[i + 1][1])
             guard_cls = Implies if tokens[i + 2][0] == "arrow" else Iff
-            body, j = _parse(tokens, i + 3)
+            body, j = _parse(tokens, i + 3, depth + 1)
             j = _expect(tokens, j, "rpar")
             return guard_cls(constant, body), j
-        left, j = _parse(tokens, i + 1)
+        left, j = _parse(tokens, i + 1, depth + 1)
         j = _expect(tokens, j, "amp")
-        right, j = _parse(tokens, j)
+        right, j = _parse(tokens, j, depth + 1)
         j = _expect(tokens, j, "rpar")
         return And(left, right), j
     raise InputError(f"unexpected token {value!r} in formula")

@@ -10,20 +10,29 @@ and a fuzzy bisimulation when phi^-1 is a fuzzy simulation in the other
 direction as well.  The plain ("crisp") notions additionally require the
 initial sets to be covered: sigma <= sigma' o phi^-1 (and symmetrically).
 
-The greatest such relation is computed downward from the
-terminal-residuum candidate
+Everything here derives from one refinement operator F = phi_0 /\\ G(phi):
 
     phi_0(x, x') = tau(x) -> tau'(x')          (<-> for bisimulations)
+    G(phi)(x, x') = inf over s, y of delta_s(x, y) -> (delta'_s o phi^-1)(x', y)
 
-by Jacobi sweeps phi_{k+1} = F(phi_k) of the refinement operator
+(G meets also the mirrored constraint for bisimulations).  Two identities
+of every complete residuated lattice carry the checks and lambda-degrees:
 
-    F(phi)(x, x') = phi(x, x') /\\ inf over s, y of
-                    delta_s(x, y) -> (delta'_s o phi^-1)(x', y)
+    a (x) b <= c  iff  a <= b -> c
+    (sup_i a_i (x) b_i) -> c = inf_i a_i -> (b_i -> c)
 
-(meeting also the mirrored constraint for bisimulations): each sweep
-computes every pair from phi_k alone, until an iterate repeats exactly.
-`iterations` counts the sweeps, the last one included.  Exact arithmetic
-makes that test a plain equality.
+The first turns the step and terminal conditions into phi <= F(phi); the
+second turns the meet of their subsethood degrees,
+S(phi^-1 o delta_s, delta'_s o phi^-1) over s and S(phi^-1 o tau, tau'),
+into S(phi, F(phi)).  So a check asks whether S(phi, F(phi)) is 1 (crisp:
+and the norm is 1), and a lambda-degree is S(phi, F(phi)) /\\ norm(phi).
+
+The greatest such relation is computed downward from phi_0 by Jacobi
+sweeps phi_{k+1} = F(phi_k): each sweep computes every pair from phi_k
+alone, until an iterate repeats exactly.  As G is monotone and the
+iterates decrease, phi_0 /\\ G(phi_k) = phi_k /\\ G(phi_k), and F vanishes
+off phi_k's support.  `iterations` counts the sweeps, the last one
+included.  Exact arithmetic makes that test a plain equality.
 
 The sweeps run on coded degrees, fixed once per (lattice, A, A').  A sweep
 applies only the t-norm, the residuum, min and max to the delta, delta',
@@ -43,9 +52,10 @@ get integer codes:
 * Product: p * q and q / p leave every finite grid, so the degrees stay
   Fractions under the lattice's own operations.
 
-phi_0 is computed on Fractions with the lattice's residuum and then
-encoded; iterates are decoded only when handed out, so every result is
-the exact Fraction the uncoded iteration gives.
+A relation to check adds its own degrees to that set; the set stays
+closed, so the codes of phi and F(phi) are exact too.  phi_0 is computed
+on codes as well; iterates are decoded only when handed out, so every
+result is the exact Fraction the uncoded iteration gives.
 
 When the two automata have different alphabets, every condition quantifies
 over the union, with a missing symbol contributing the empty relation.
@@ -63,16 +73,16 @@ from .automata import FuzzyAutomaton, delta_rel, max_live_word_length, UNBOUNDED
 from .errors import InputError, NonConvergenceError
 from .fuzzyrel import (
     FuzzyRelation,
-    compose_rel_rel,
     compose_rel_set,
     compose_set_rel,
     compose_set_set,
     converse,
-    pointwise_leq,
     relation_json_array,
     relation_from_obj,
     subsethood,
 )
+# unused here, but the benchmark's tracer wraps both by name on this module
+from .fuzzyrel import compose_rel_rel, pointwise_leq  # noqa: F401
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, meet, parse_degree
 
 DEFAULT_MAX_ITERS = 10000
@@ -157,56 +167,30 @@ def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> 
 
 # ---------------------------------------------------------------- checks
 
+def _condition_degree(lat, a, ap, phi, bidir: bool) -> Fraction:
+    """S(phi, F(phi)): the degree of the step and terminal conditions."""
+    _validate_rel(phi, a, ap)
+    return _Kernel(lat, a, ap, bidir, phi).condition_degree()
+
+
 def check_fuzzy_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                            ap: FuzzyAutomaton, phi: FuzzyRelation) -> bool:
-    _validate_rel(phi, a, ap)
-    return _forward_conditions_hold(lat, a, ap, phi)
+    return _condition_degree(lat, a, ap, phi, False) == ONE
 
 
 def check_fuzzy_bisimulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                              ap: FuzzyAutomaton, phi: FuzzyRelation) -> bool:
-    _validate_rel(phi, a, ap)
-    return (_forward_conditions_hold(lat, a, ap, phi)
-            and _backward_conditions_hold(lat, a, ap, phi))
+    return _condition_degree(lat, a, ap, phi, True) == ONE
 
 
 def check_crisp_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                            ap: FuzzyAutomaton, phi: FuzzyRelation) -> bool:
-    _validate_rel(phi, a, ap)
-    return (_initial_covered(lat, a, ap, phi)
-            and _forward_conditions_hold(lat, a, ap, phi))
+    return sim_norm(lat, a, ap, phi) == ONE and check_fuzzy_simulation(lat, a, ap, phi)
 
 
 def check_crisp_bisimulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                              ap: FuzzyAutomaton, phi: FuzzyRelation) -> bool:
-    _validate_rel(phi, a, ap)
-    return (_initial_covered(lat, a, ap, phi)
-            and _initial_covered(lat, ap, a, converse(phi))
-            and _forward_conditions_hold(lat, a, ap, phi)
-            and _backward_conditions_hold(lat, a, ap, phi))
-
-
-def _initial_covered(lat, a, ap, phi) -> bool:
-    return pointwise_leq(a.sigma, compose_set_rel(lat, ap.sigma, converse(phi)))
-
-
-def _forward_conditions_hold(lat, a, ap, phi) -> bool:
-    inv = converse(phi)
-    for s in _union_symbols(a, ap):
-        lhs = compose_rel_rel(lat, inv, _dr(a, s))
-        rhs = compose_rel_rel(lat, _dr(ap, s), inv)
-        if not pointwise_leq(lhs, rhs):
-            return False
-    return pointwise_leq(compose_rel_set(lat, inv, a.tau), ap.tau)
-
-
-def _backward_conditions_hold(lat, a, ap, phi) -> bool:
-    for s in _union_symbols(a, ap):
-        lhs = compose_rel_rel(lat, phi, _dr(ap, s))
-        rhs = compose_rel_rel(lat, _dr(a, s), phi)
-        if not pointwise_leq(lhs, rhs):
-            return False
-    return pointwise_leq(compose_rel_set(lat, phi, ap.tau), a.tau)
+    return bisim_norm(lat, a, ap, phi) == ONE and check_fuzzy_bisimulation(lat, a, ap, phi)
 
 
 # ---------------------------------------------------------------- norms
@@ -223,24 +207,26 @@ def sim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
 def bisim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
                ap: FuzzyAutomaton, phi: FuzzyRelation) -> Fraction:
-    _validate_rel(phi, a, ap)
     return meet(sim_norm(lat, a, ap, phi),
                 subsethood(lat, ap.sigma, compose_set_rel(lat, a.sigma, phi)))
 
 
 # ---------------------------------------------------------------- fixpoint
 
-def _codec(lat: ResiduatedLattice, degrees: set) -> tuple:
+def _codec(lat: ResiduatedLattice, degrees: list) -> tuple:
     """(encode, decode, tnorm, residuum) over the codes of lat for a pair
-    whose delta, delta', tau and tau' degrees are the given set."""
+    whose delta, delta', tau and tau' degrees (and a checked relation's)
+    are listed, repeats included."""
     if lat.kind == "godel":
-        values = sorted(degrees | {ZERO, ONE})
-        rank = {v: i for i, v in enumerate(values)}
+        # keyed by (numerator, denominator): hashing a Fraction costs far more
+        ratios = {d.as_integer_ratio() for d in degrees} | {(0, 1), (1, 1)}
+        values = sorted(Fraction(*r) for r in ratios)
+        rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
         top = len(values) - 1
-        return (rank.__getitem__, values.__getitem__, min,
+        return (lambda v: rank[v.as_integer_ratio()], values.__getitem__, min,
                 lambda p, q: top if p <= q else q)
     if lat.kind == "lukasiewicz":
-        den = math.lcm(*(d.denominator for d in degrees))
+        den = math.lcm(*{d.denominator for d in degrees})
         return (lambda v: v.numerator * (den // v.denominator),
                 lambda k: Fraction(k, den),
                 lambda p, q: p + q - den if p + q > den else 0,
@@ -252,30 +238,36 @@ class _Kernel:
     """The refinement operator F of one (lattice, A, A', kind), over codes.
 
     An iterate is a flat list of codes indexed by x * |A'| + x', with states
-    numbered by their position; the code of 0 is the only falsy code.
+    numbered by their position; the code of 0 is the only falsy code.  The
+    codes also cover the degrees of phi, which is coded as self.phi.
     """
 
-    __slots__ = ("a", "ap", "bidir", "zero", "decode", "tnorm", "residuum",
-                 "edges", "edges_p", "succ", "succ_p", "phi0")
+    __slots__ = ("a", "ap", "bidir", "zero", "top", "decode", "tnorm", "residuum",
+                 "edges", "edges_p", "succ", "succ_p", "phi0", "phi")
 
-    def __init__(self, lat, a, ap, bidir: bool):
+    def __init__(self, lat, a, ap, bidir: bool, phi: FuzzyRelation = _EMPTY_REL):
         self.a, self.ap, self.bidir = a, ap, bidir
         pos = {x: i for i, x in enumerate(a.states)}
         pos_p = {x: i for i, x in enumerate(ap.states)}
         rels = [(_dr(a, s).items(), _dr(ap, s).items()) for s in _union_symbols(a, ap)]
-        degrees = {d for rel, rel_p in rels for _key, d in rel + rel_p}
-        degrees.update(d for _x, d in a.tau.items() + ap.tau.items())
+        degrees = [d for rel, rel_p in rels for _key, d in rel + rel_p]
+        degrees += [d for _key, d in a.tau.items() + ap.tau.items() + phi.items()]
         encode, self.decode, self.tnorm, self.residuum = _codec(lat, degrees)
-        self.zero = encode(ZERO)
+        self.zero, self.top = encode(ZERO), encode(ONE)
         # per symbol: the coded transitions as (from, to, code) and grouped by source
         self.edges = [[(pos[x], pos[y], encode(d)) for (x, y), d in rel] for rel, _ in rels]
         self.edges_p = [[(pos_p[x], pos_p[y], encode(d)) for (x, y), d in rel_p]
                         for _, rel_p in rels]
         self.succ = [_by_src(e, len(pos)) for e in self.edges]
         self.succ_p = [_by_src(e, len(pos_p)) for e in self.edges_p]
-        op = lat.biresiduum if bidir else lat.residuum
-        self.phi0 = [encode(op(a.tau.degree(x), ap.tau.degree(xp)))
-                     for x in a.states for xp in ap.states]
+        res = self.residuum
+        tau = [encode(a.tau.degree(x)) for x in a.states]
+        tau_p = [encode(ap.tau.degree(xp)) for xp in ap.states]
+        self.phi0 = [min(res(p, q), res(q, p)) if bidir else res(p, q)
+                     for p in tau for q in tau_p]
+        self.phi = [self.zero] * len(self.phi0)
+        for (x, xp), d in phi.items():
+            self.phi[pos[x] * len(pos_p) + pos_p[xp]] = encode(d)
 
     def _compose(self, edges, groups, rows: int, cols: int) -> list:
         """sup over (x, y, d) in edges and (z, e) in groups[y] of d (x) e, at x * cols + z."""
@@ -290,7 +282,8 @@ class _Kernel:
         return out
 
     def refine(self, phi: list) -> list:
-        """F(phi): one Jacobi sweep, every pair computed from phi alone."""
+        """F(phi) = phi_0 /\\ G(phi) on phi's support, 0 elsewhere: one Jacobi
+        sweep, every pair computed from phi alone."""
         n, m, residuum = len(self.a.states), len(self.ap.states), self.residuum
         support = [i for i, v in enumerate(phi) if v]
         by_second = [[] for _ in range(m)]      # y' -> [(y, phi(y, y'))]
@@ -310,10 +303,13 @@ class _Kernel:
             if self.bidir:
                 checks.append((self.succ_p[s], True, self._compose(self.edges[s], by_first, n, m)))
         nxt = [self.zero] * (n * m)
+        phi0 = self.phi0
         for i in support:
             x, xp = divmod(i, m)
-            v = phi[i]
+            v = phi0[i]
             for succ, mirrored, comp in checks:
+                if not v:
+                    break
                 src, base = (xp, x * m) if mirrored else (x, xp * n)
                 for y, d in succ[src]:
                     r = residuum(d, comp[base + y])
@@ -321,10 +317,13 @@ class _Kernel:
                         v = r
                         if not v:
                             break
-                if not v:
-                    break
             nxt[i] = v
         return nxt
+
+    def condition_degree(self) -> Fraction:
+        """S(phi, F(phi)) for self.phi, decoded; off its support every residuum is 1."""
+        pairs = zip(self.phi, self.refine(self.phi))
+        return self.decode(min((self.residuum(p, f) for p, f in pairs if p), default=self.top))
 
     def iterates(self):
         """phi_0, phi_1, ... up to and including the first repeated iterate."""
@@ -399,36 +398,24 @@ def _require_heyting(lat: ResiduatedLattice) -> None:
         )
 
 
-def _approx_degrees(lat, a, ap, phi) -> tuple:
-    """The three inclusion degrees of the approximate-simulation conditions."""
-    inv = converse(phi)
-    d_init = subsethood(lat, a.sigma, compose_set_rel(lat, ap.sigma, inv))
-    d_trans = ONE
-    for s in _union_symbols(a, ap):
-        lhs = compose_rel_rel(lat, inv, _dr(a, s))
-        rhs = compose_rel_rel(lat, _dr(ap, s), inv)
-        d_trans = meet(d_trans, subsethood(lat, lhs, rhs))
-    d_term = subsethood(lat, compose_rel_set(lat, inv, a.tau), ap.tau)
-    return d_init, d_trans, d_term
+def _approx_degree(lat, a, ap, phi, bidir: bool) -> Fraction:
+    """S(phi, F(phi)) /\\ norm(phi): the greatest lambda for which phi is a
+    lambda-approximate simulation (bisimulation)."""
+    _require_heyting(lat)
+    norm = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi)
+    return meet(_condition_degree(lat, a, ap, phi, bidir), norm)
 
 
 def check_lambda_approx_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                                    ap: FuzzyAutomaton, phi: FuzzyRelation,
                                    lam) -> bool:
-    _require_heyting(lat)
-    _validate_rel(phi, a, ap)
-    lam = parse_degree(lam)
-    return all(lam <= d for d in _approx_degrees(lat, a, ap, phi))
+    return _approx_degree(lat, a, ap, phi, False) >= parse_degree(lam)
 
 
 def check_lambda_approx_bisimulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                                      ap: FuzzyAutomaton, phi: FuzzyRelation,
                                      lam) -> bool:
-    _require_heyting(lat)
-    _validate_rel(phi, a, ap)
-    lam = parse_degree(lam)
-    degrees = _approx_degrees(lat, a, ap, phi) + _approx_degrees(lat, ap, a, converse(phi))
-    return all(lam <= d for d in degrees)
+    return _approx_degree(lat, a, ap, phi, True) >= parse_degree(lam)
 
 
 def approx_from_greatest(phi: FuzzyRelation, lam) -> FuzzyRelation:

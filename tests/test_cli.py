@@ -201,6 +201,18 @@ def test_eval_formula(capsys):
     assert code == 2
 
 
+def test_deep_formulas_are_bad_input(capsys):
+    # 500 levels is the documented limit: it still evaluates
+    code, out, _ = run(capsys, "eval-formula", A, "--formula", "<s> " * 500 + "T")
+    assert code == 0 and json.loads(out) == {"u": "0", "v": "0", "w": "0"}
+    chain = "(" * 2000 + "T" + " & T)" * 2000
+    for formula in ("<s>" * 501 + "T", "<s>" * 1000 + "T", chain):
+        code, out, err = run(capsys, "eval-formula", A, "--formula", formula)
+        assert code == 2 and out == "" and "500" in err
+    result = _run_cli(["eval-formula", A, "--formula", "<s>" * 1000 + "T"])
+    assert result.returncode == 2 and b"Traceback" not in result.stderr
+
+
 def test_max_lambda(capsys):
     code, out, _ = run(capsys, "max-lambda", A, AP, "--kind", "bisim")
     assert code == 0

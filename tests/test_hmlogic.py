@@ -23,6 +23,7 @@ from fuzzybisim import (
     greatest_fuzzy_simulation,
     hm_agreement,
     hm_degree_bounded,
+    parse_degree,
     parse_formula,
     pointwise_leq,
     refinement_steps,
@@ -99,6 +100,23 @@ def test_format_parse_round_trip():
 def test_parse_formula_rejects(text):
     with pytest.raises(InputError):
         parse_formula(text)
+
+
+@pytest.mark.parametrize("literal", [
+    "1/2", "0.5", ".5", "5e-1", "5E-1", "1e-1", "+0.5", "1.", "-0", "1_0/2_0",
+    "1e1", "1/0", "2", "0.5.5", "1e", "0x1", "1/2.5",
+])
+def test_guard_constants_read_like_degrees(literal):
+    # one literal grammar: a guard constant parses exactly when parse_degree does
+    try:
+        expected = Implies(parse_degree(literal), TAU)
+    except InputError:
+        with pytest.raises(InputError):
+            parse_formula(f"({literal} -> T)")
+    else:
+        assert parse_formula(f"({literal} -> T)") == expected
+        assert parse_formula(f"({literal}->T)") == expected
+        assert parse_formula(format_formula(expected)) == expected
 
 
 def test_constant_pool(aut_a, aut_ap):

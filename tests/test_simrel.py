@@ -35,9 +35,12 @@ from fuzzybisim import (
 )
 from fuzzybisim.errors import InputError, NonConvergenceError
 from fuzzybisim.oracle import (
+    CONDITIONS,
     is_fuzzy_bisimulation_bruteforce,
     is_fuzzy_simulation_bruteforce,
+    pointwise_condition_report,
     random_automaton,
+    random_relation,
     shrink_to_bisimulation,
     shrink_to_simulation,
 )
@@ -352,3 +355,62 @@ def test_greatest_matches_oracle(lat, a, ap):
         assert report.relation == shrink(lat, a, ap, everything)
         assert brute(lat, a, ap, report.relation)
         assert list(refinement_steps(lat, a, ap, kind=kind))[-1] == report.relation
+
+
+def _random_cases(lat, seeds):
+    """(A, A', phi) over seeded random pairs: greatest relations, their lifts
+    at the norm, one raised entry, random relations and, for self-pairs, the
+    identity."""
+    for seed in seeds:
+        pool = _MIXED if seed % 2 else ("1/4", "1/2", "3/4", "1")
+        a = random_automaton("A", 2 + seed % 3, ["a", "b"], pool, seed, density=0.5)
+        ap = a if seed % 4 == 0 else random_automaton(
+            "B", 2 + seed % 2, ["a", "b"], pool, 1000 + seed, density=0.5)
+        relations = [random_relation(a.states, ap.states, pool, 2000 + seed + j).relation
+                     for j in range(3)]
+        if ap is a:
+            relations.append(identity_rel(a.states))
+        for greatest in (greatest_fuzzy_simulation, greatest_fuzzy_bisimulation):
+            report = greatest(lat, a, ap, max_iters=40)
+            relations += [report.relation, approx_from_greatest(report.relation, report.norm)]
+            if report.relation:
+                (key, d), *_ = report.relation.items()
+                relations.append(FuzzyRelation({**dict(report.relation.items()),
+                                                key: (d + ONE) / 2}))
+        for phi in relations:
+            yield a, ap, phi
+
+
+def _oracle_degree(lat, report, conditions):
+    """Meet of lhs -> rhs over the oracle's violations of the conditions."""
+    return min((lat.residuum(lhs, rhs) for c in conditions for _at, lhs, rhs in report.get(c, ())),
+               default=ONE)
+
+
+_FORWARD = CONDITIONS[:3]
+
+
+def test_lambda_checks_match_oracle():
+    below_one = 0
+    for a, ap, phi in _random_cases(GOEDEL, range(40)):
+        report = pointwise_condition_report(GOEDEL, a, ap, phi)
+        for check, conditions in ((check_lambda_approx_simulation, _FORWARD),
+                                  (check_lambda_approx_bisimulation, CONDITIONS)):
+            degree = _oracle_degree(GOEDEL, report, conditions)
+            assert check(GOEDEL, a, ap, phi, degree)
+            if degree < ONE:
+                assert not check(GOEDEL, a, ap, phi, degree + (ONE - degree) / 1000)
+                below_one += 1
+    assert below_one > 100
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+def test_crisp_checks_match_oracle(lat):
+    verdicts = set()
+    for a, ap, phi in _random_cases(lat, range(24)):
+        report = pointwise_condition_report(lat, a, ap, phi)
+        sim = not any(c in report for c in _FORWARD)
+        assert check_crisp_simulation(lat, a, ap, phi) == sim
+        assert check_crisp_bisimulation(lat, a, ap, phi) == (not report)
+        verdicts.update({sim, not report})
+    assert verdicts == {True, False}
