@@ -16,8 +16,10 @@ from .automata import lang_degree, parse_automaton
 from .errors import InputError, NonConvergenceError
 from .fuzzyrel import parse_relation, relation_json_array
 from .hmlogic import eval_formula, hm_degree_bounded, parse_formula
-from .lattice import by_name, format_degree, parse_degree
+from .lattice import _KINDS, by_name, format_degree, parse_degree
 from .simrel import (
+    _KIND_NAMES,
+    _parse_kind,
     bisim_norm,
     check_crisp_bisimulation,
     check_crisp_simulation,
@@ -34,12 +36,10 @@ from .simrel import (
     verify_preservation,
 )
 
-_LATTICES = ("godel", "lukasiewicz", "product")
-
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lattice", choices=_LATTICES, default="godel",
+    common.add_argument("--lattice", choices=_KINDS, default="godel",
                         help="truth structure to compute in (default: godel)")
     common.add_argument("--max-iters", type=int, default=None, metavar="N",
                         help="iteration cap for fixpoint sweeps")
@@ -57,10 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton")
     p.add_argument("--word", required=True,
                    help="comma-separated symbols; empty string for the empty word")
+    p.set_defaults(run=_cmd_lang)
 
-    for cmd, noun in (("check-sim", "simulation"), ("check-bisim", "bisimulation")):
+    for cmd, bidir in (("check-sim", False), ("check-bisim", True)):
+        noun = _KIND_NAMES[bidir]
         p = sub.add_parser(cmd, parents=[common],
                            help=f"check whether a relation is a {noun}")
+        p.set_defaults(run=_cmd_check, bidir=bidir)
         p.add_argument("automaton")
         p.add_argument("automaton_prime")
         p.add_argument("--relation", required=True, help="relation JSON file")
@@ -71,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"check the degree-lambda relaxation of the {noun} "
                                 "conditions (godel lattice only)")
 
-    for cmd, noun in (("greatest-sim", "simulation"), ("greatest-bisim", "bisimulation")):
+    for cmd, bidir in (("greatest-sim", False), ("greatest-bisim", True)):
         p = sub.add_parser(cmd, parents=[common],
-                           help=f"compute the greatest fuzzy {noun}")
+                           help=f"compute the greatest fuzzy {_KIND_NAMES[bidir]}")
+        p.set_defaults(run=_cmd_greatest, bidir=bidir)
         p.add_argument("automaton")
         p.add_argument("automaton_prime")
 
@@ -83,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton_prime")
     p.add_argument("--relation", required=True)
     p.add_argument("--kind", choices=("sim", "bisim"), required=True)
+    p.set_defaults(run=_cmd_norm)
 
     p = sub.add_parser("verify-preservation", parents=[common],
                        help="check language inequalities implied by a relation, "
@@ -92,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True)
     p.add_argument("--kind", choices=("sim", "bisim"), default="sim")
     p.add_argument("--max-len", type=int, required=True, metavar="K")
+    p.set_defaults(run=_cmd_verify_preservation)
 
     p = sub.add_parser("hm-degree", parents=[common],
                        help="per-pair infimum of formula readouts up to a depth")
@@ -99,11 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton_prime")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--fragment", choices=("sim", "bisim"), required=True)
+    p.set_defaults(run=_cmd_hm_degree)
 
     p = sub.add_parser("eval-formula", parents=[common],
                        help="evaluate a formula on every state of an automaton")
     p.add_argument("automaton")
     p.add_argument("--formula", required=True)
+    p.set_defaults(run=_cmd_eval_formula)
 
     p = sub.add_parser("max-lambda", parents=[common],
                        help="largest lambda admitting a lambda-relaxed relation "
@@ -111,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton")
     p.add_argument("automaton_prime")
     p.add_argument("--kind", choices=("sim", "bisim"), required=True)
+    p.set_defaults(run=_cmd_max_lambda)
 
     return parser
 
@@ -161,7 +170,7 @@ def _cmd_lang(args) -> int:
     return 0
 
 
-def _cmd_check(args, noun: str) -> int:
+def _cmd_check(args) -> int:
     lat = by_name(args.lattice)
     a = _load_automaton(args.automaton)
     ap = _load_automaton(args.automaton_prime)
@@ -170,19 +179,18 @@ def _cmd_check(args, noun: str) -> int:
     if args.lam is not None:
         mode = "lambda"
         lam = parse_degree(args.lam)
-        check = (check_lambda_approx_simulation if noun == "simulation"
-                 else check_lambda_approx_bisimulation)
+        check = (check_lambda_approx_bisimulation if args.bidir
+                 else check_lambda_approx_simulation)
         ok = check(lat, a, ap, phi, lam)
     elif args.crisp:
         mode = "crisp"
-        check = (check_crisp_simulation if noun == "simulation"
-                 else check_crisp_bisimulation)
+        check = check_crisp_bisimulation if args.bidir else check_crisp_simulation
         ok = check(lat, a, ap, phi)
     else:
         mode = "fuzzy"
-        check = (check_fuzzy_simulation if noun == "simulation"
-                 else check_fuzzy_bisimulation)
+        check = check_fuzzy_bisimulation if args.bidir else check_fuzzy_simulation
         ok = check(lat, a, ap, phi)
+    noun = _KIND_NAMES[args.bidir]
     obj = {"kind": noun, "mode": mode, "ok": ok}
     if lam is not None:
         obj["lambda"] = format_degree(lam)
@@ -191,15 +199,14 @@ def _cmd_check(args, noun: str) -> int:
     return 0 if ok else 1
 
 
-def _cmd_greatest(args, noun: str) -> int:
+def _cmd_greatest(args) -> int:
     lat = by_name(args.lattice)
     a = _load_automaton(args.automaton)
     ap = _load_automaton(args.automaton_prime)
-    compute = (greatest_fuzzy_simulation if noun == "simulation"
-               else greatest_fuzzy_bisimulation)
+    compute = greatest_fuzzy_bisimulation if args.bidir else greatest_fuzzy_simulation
     report = compute(lat, a, ap, max_iters=args.max_iters)
     obj = report_to_obj(report)
-    lines = [f"greatest fuzzy {noun}",
+    lines = [f"greatest fuzzy {report.kind}",
              f"norm: {format_degree(report.norm)}",
              f"iterations: {report.iterations}",
              f"converged: {str(report.converged).lower()}"]
@@ -214,7 +221,7 @@ def _cmd_norm(args) -> int:
     a = _load_automaton(args.automaton)
     ap = _load_automaton(args.automaton_prime)
     phi = _load_relation(args.relation)
-    value = (sim_norm if args.kind == "sim" else bisim_norm)(lat, a, ap, phi)
+    value = (bisim_norm if _parse_kind(args.kind) else sim_norm)(lat, a, ap, phi)
     _emit(args, format_degree(value), [format_degree(value)])
     return 0
 
@@ -265,36 +272,10 @@ def _cmd_max_lambda(args) -> int:
     return 0
 
 
-def _run(args) -> int:
-    cmd = args.command
-    if cmd == "lang":
-        return _cmd_lang(args)
-    if cmd == "check-sim":
-        return _cmd_check(args, "simulation")
-    if cmd == "check-bisim":
-        return _cmd_check(args, "bisimulation")
-    if cmd == "greatest-sim":
-        return _cmd_greatest(args, "simulation")
-    if cmd == "greatest-bisim":
-        return _cmd_greatest(args, "bisimulation")
-    if cmd == "norm":
-        return _cmd_norm(args)
-    if cmd == "verify-preservation":
-        return _cmd_verify_preservation(args)
-    if cmd == "hm-degree":
-        return _cmd_hm_degree(args)
-    if cmd == "eval-formula":
-        return _cmd_eval_formula(args)
-    if cmd == "max-lambda":
-        return _cmd_max_lambda(args)
-    raise InputError(f"unknown command {cmd!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,10 +36,10 @@ from fractions import Fraction
 from typing import Union
 
 from .automata import FuzzyAutomaton, delta_rel
-from .errors import InputError, NonConvergenceError
+from .errors import InputError
 from .fuzzyrel import FuzzyRelation, FuzzySet
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
-from .simrel import _norm_kind, greatest_fuzzy_bisimulation, greatest_fuzzy_simulation
+from .simrel import _converged_greatest, _parse_kind
 
 DEFAULT_POOL_CAP = 64
 
@@ -91,20 +91,9 @@ def _eval_map(lat, aut, w, strict: bool) -> dict:
     if isinstance(w, Tau):
         return {x: aut.tau.degree(x) for x in aut.states}
     if isinstance(w, Step):
-        if w.symbol in aut.alphabet:
-            rel = delta_rel(aut, w.symbol)
-        elif strict:
+        if strict and w.symbol not in aut.alphabet:
             raise InputError(f"formula steps over unknown symbol {w.symbol!r}")
-        else:
-            rel = None
-        sub = _eval_map(lat, aut, w.body, strict)
-        out = {x: ZERO for x in aut.states}
-        if rel is not None:
-            for (x, y), d in rel.items():
-                v = lat.tnorm(d, sub[y])
-                if v > out[x]:
-                    out[x] = v
-        return out
+        return _apply_step(lat, aut, w.symbol, _eval_map(lat, aut, w.body, strict))
     if isinstance(w, Implies):
         c = parse_degree(w.constant)
         sub = _eval_map(lat, aut, w.body, strict)
@@ -234,16 +223,22 @@ def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
     return [tau_item] + _step_items(lat, a, ap, reps, symbols)
 
 
+def _readout_atoms(lat, a, ap, depth, fragment, pool_cap) -> tuple:
+    """(readout op, atoms) of the fragment at the given depth: the residuum,
+    or the biresiduum for the bisimulation fragment, and the _top_atoms."""
+    if depth < 0:
+        raise InputError("depth must be >= 0")
+    bidir = _parse_kind(fragment)
+    pool = constant_pool(lat, a, ap, depth, pool_cap)
+    return (lat.biresiduum if bidir else lat.residuum,
+            _top_atoms(lat, a, ap, depth, bidir, pool))
+
+
 def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
                       depth: int, fragment, pool_cap: int = DEFAULT_POOL_CAP) -> FuzzyRelation:
     """Per-pair infimum of formula readouts over the fragment, truncated at
     the given step-depth.  Antitone in depth; always above the true degree."""
-    if depth < 0:
-        raise InputError("depth must be >= 0")
-    bidir = _norm_kind(fragment) == "bisimulation"
-    op = lat.biresiduum if bidir else lat.residuum
-    pool = constant_pool(lat, a, ap, depth, pool_cap)
-    atoms = _top_atoms(lat, a, ap, depth, bidir, pool)
+    op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
     out: dict = {}
     for x in a.states:
         for xp in ap.states:
@@ -262,11 +257,8 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
 def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
                        depth: int, fragment, pool_cap: int = DEFAULT_POOL_CAP) -> list:
     """The atom formulas whose readouts realize hm_degree_bounded."""
-    if depth < 0:
-        raise InputError("depth must be >= 0")
-    bidir = _norm_kind(fragment) == "bisimulation"
-    pool = constant_pool(lat, a, ap, depth, pool_cap)
-    return [formula for formula, _va, _vb in _top_atoms(lat, a, ap, depth, bidir, pool)]
+    _op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
+    return [formula for formula, _va, _vb in atoms]
 
 
 @dataclass(frozen=True)
@@ -278,15 +270,11 @@ class HMAgreementReport:
 def hm_agreement(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
                  depth: int, fragment, max_iters=None,
                  pool_cap: int = DEFAULT_POOL_CAP) -> HMAgreementReport:
-    """Compare the bounded formula infimum against the greatest fixpoint."""
-    bidir = _norm_kind(fragment) == "bisimulation"
+    """Compare the bounded formula infimum against the greatest fixpoint;
+    NonConvergenceError if that does not stabilize within max_iters sweeps."""
+    bidir = _parse_kind(fragment)
     relation = hm_degree_bounded(lat, a, ap, depth, fragment, pool_cap)
-    compute = greatest_fuzzy_bisimulation if bidir else greatest_fuzzy_simulation
-    report = compute(lat, a, ap)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"greatest {report.kind} did not stabilize within {report.iterations} sweeps"
-        )
+    report = _converged_greatest(lat, a, ap, bidir, max_iters)
     return HMAgreementReport(relation=relation,
                              matches_fixpoint=(relation == report.relation))
 
@@ -304,13 +292,10 @@ def distinguishing_formula(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyA
         raise InputError(f"unknown state {x!r} for automaton {a.name!r}")
     if xp not in ap.states:
         raise InputError(f"unknown state {xp!r} for automaton {ap.name!r}")
-    if depth < 0:
-        raise InputError("depth must be >= 0")
-    target = parse_degree(target)
-    bidir = _norm_kind(fragment) == "bisimulation"
-    op = lat.biresiduum if bidir else lat.residuum
-    pool = constant_pool(lat, a, ap, depth, pool_cap)
-    for formula, va, vb in _top_atoms(lat, a, ap, depth, bidir, pool):
+    # a bad depth is reported before a bad target, a bad target before a bad fragment
+    target = target if depth < 0 else parse_degree(target)
+    op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
+    for formula, va, vb in atoms:
         if op(va[x], vb[xp]) <= target:
             ea = _eval_map(lat, a, formula, strict=False)
             eb = _eval_map(lat, ap, formula, strict=False)

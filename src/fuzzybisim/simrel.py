@@ -138,13 +138,17 @@ def resolve_max_iters(max_iters=None) -> int:
     return max_iters
 
 
-def _norm_kind(kind) -> str:
-    k = str(kind).lower()
-    if k in ("sim", "simulation"):
-        return "simulation"
-    if k in ("bisim", "bisimulation"):
-        return "bisimulation"
-    raise InputError(f"unknown kind {kind!r}; expected sim or bisim")
+# the kind names, indexed by bidir: False for simulations, True for bisimulations
+_KIND_NAMES = ("simulation", "bisimulation")
+_BIDIR = {"sim": False, "simulation": False, "bisim": True, "bisimulation": True}
+
+
+def _parse_kind(kind) -> bool:
+    """bidir for a kind or fragment name: sim, simulation, bisim or bisimulation, in any case."""
+    try:
+        return _BIDIR[str(kind).lower()]
+    except KeyError:
+        raise InputError(f"unknown kind {kind!r}; expected sim or bisim") from None
 
 
 def _union_symbols(a: FuzzyAutomaton, ap: FuzzyAutomaton) -> list:
@@ -357,14 +361,12 @@ def refinement_steps(lat: ResiduatedLattice, a: FuzzyAutomaton,
     The generator stops only on exact stabilization; callers that cannot
     rely on termination should bound it themselves.
     """
-    kernel = _Kernel(lat, a, ap, _norm_kind(kind) == "bisimulation")
+    kernel = _Kernel(lat, a, ap, _parse_kind(kind))
     for phi in kernel.iterates():
         yield kernel.relation(phi)
 
 
-def _greatest(lat, a, ap, kind: str, max_iters) -> SimReport:
-    kindn = _norm_kind(kind)
-    bidir = kindn == "bisimulation"
+def _greatest(lat, a, ap, bidir: bool, max_iters) -> SimReport:
     cap = resolve_max_iters(max_iters)
     kernel = _Kernel(lat, a, ap, bidir)
     steps = kernel.iterates()
@@ -373,18 +375,28 @@ def _greatest(lat, a, ap, kind: str, max_iters) -> SimReport:
         converged, cur = nxt == cur, nxt
     relation = kernel.relation(cur)
     norm = (bisim_norm if bidir else sim_norm)(lat, a, ap, relation)
-    return SimReport(relation=relation, norm=norm, kind=kindn,
+    return SimReport(relation=relation, norm=norm, kind=_KIND_NAMES[bidir],
                      iterations=sweeps, converged=converged)
+
+
+def _converged_greatest(lat, a, ap, bidir: bool, max_iters) -> SimReport:
+    """_greatest, raising NonConvergenceError unless the iterates stabilized."""
+    report = _greatest(lat, a, ap, bidir, max_iters)
+    if not report.converged:
+        raise NonConvergenceError(
+            f"greatest {report.kind} did not stabilize within {report.iterations} sweeps"
+        )
+    return report
 
 
 def greatest_fuzzy_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                               ap: FuzzyAutomaton, max_iters=None) -> SimReport:
-    return _greatest(lat, a, ap, "simulation", max_iters)
+    return _greatest(lat, a, ap, False, max_iters)
 
 
 def greatest_fuzzy_bisimulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                                 ap: FuzzyAutomaton, max_iters=None) -> SimReport:
-    return _greatest(lat, a, ap, "bisimulation", max_iters)
+    return _greatest(lat, a, ap, True, max_iters)
 
 
 # ---------------------------------------------------------------- lambda-approximate notions
@@ -435,23 +447,10 @@ def max_approx_lambda(lat: ResiduatedLattice, a: FuzzyAutomaton,
     Equals the norm of the greatest fuzzy simulation (bisimulation).
     """
     _require_heyting(lat)
-    report = _greatest(lat, a, ap, kind, max_iters)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"greatest {report.kind} did not stabilize within {report.iterations} sweeps"
-        )
-    return report.norm
+    return _converged_greatest(lat, a, ap, _parse_kind(kind), max_iters).norm
 
 
 # ---------------------------------------------------------------- preservation
-
-def _back_vector(lat, aut, word):
-    """FuzzySet v with v(x) = degree of the word from state x."""
-    vec = aut.tau
-    for s in reversed(word):
-        vec = compose_rel_set(lat, _dr(aut, s), vec)
-    return vec
-
 
 def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                         ap: FuzzyAutomaton, phi: FuzzyRelation, k: int,
@@ -467,15 +466,18 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     if k < 0:
         raise InputError("word length bound must be >= 0")
     _validate_rel(phi, a, ap)
-    bidir = _norm_kind(kind) == "bisimulation"
+    bidir = _parse_kind(kind)
     op = lat.biresiduum if bidir else lat.residuum
 
+    # back vectors v(x) = degree of w from x, for A and A', of every word w of
+    # length <= k: the vector of s.w is delta_s o (the vector of w)
     symbols = _union_symbols(a, ap)
-    words = [()]
-    for n in range(1, k + 1):
-        words.extend(itertools.product(symbols, repeat=n))
-
-    vectors = [(_back_vector(lat, a, w), _back_vector(lat, ap, w)) for w in words]
+    level = [(a.tau, ap.tau)]
+    vectors = list(level)
+    for _ in range(k):
+        level = [(compose_rel_set(lat, _dr(a, s), va), compose_rel_set(lat, _dr(ap, s), vap))
+                 for s in symbols for va, vap in level]
+        vectors += level
 
     pointwise_ok = True
     for (x, xp), d in phi.items():
@@ -523,7 +525,7 @@ def report_from_obj(obj) -> SimReport:
     expected = {"kind", "relation", "norm", "iterations", "converged"}
     if set(obj) != expected:
         raise InputError(f"report fields must be exactly {sorted(expected)}")
-    kind = _norm_kind(obj["kind"])
+    kind = _KIND_NAMES[_parse_kind(obj["kind"])]
     iterations = obj["iterations"]
     converged = obj["converged"]
     if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import fuzzybisim
 from fuzzybisim import (
     GOEDEL,
     FuzzyAutomaton,
@@ -228,6 +229,9 @@ def test_max_lambda(capsys):
 def _run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("FUZZYBISIM_MAX_ITERS", None)
+    # the child imports the package this process imported
+    src = os.path.dirname(os.path.dirname(fuzzybisim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "fuzzybisim", *args],

@@ -28,7 +28,7 @@ from fuzzybisim import (
     pointwise_leq,
     refinement_steps,
 )
-from fuzzybisim.errors import InputError
+from fuzzybisim.errors import InputError, NonConvergenceError
 
 
 def test_reference_readouts(aut_a, aut_ap):
@@ -198,6 +198,12 @@ def test_agreement_on_reference_pair(aut_a, aut_ap):
     assert sim.relation == greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap).relation
     bisim = hm_agreement(GOEDEL, aut_a, aut_ap, 3, "bisim")
     assert bisim.matches_fixpoint
+
+
+def test_agreement_honours_max_iters(aut_a, aut_ap):
+    # no sweep at all leaves the fixpoint unconverged
+    with pytest.raises(NonConvergenceError):
+        hm_agreement(GOEDEL, aut_a, aut_ap, 1, "sim", max_iters=0)
 
 
 def test_distinguishing_formula(aut_a, aut_ap):

@@ -19,10 +19,17 @@ from fuzzybisim import (
     check_fuzzy_simulation,
     check_lambda_approx_bisimulation,
     check_lambda_approx_simulation,
+    ZERO,
     converse,
+    distinguishing_formula,
+    enumerate_formulas,
     greatest_fuzzy_bisimulation,
     greatest_fuzzy_simulation,
+    hm_agreement,
+    hm_degree_bounded,
     identity_rel,
+    lang_degree,
+    lang_degree_from_state,
     max_approx_lambda,
     pointwise_leq,
     refinement_steps,
@@ -228,11 +235,33 @@ def test_zero_sweep_cap_reports_seed_unconverged(aut_a, aut_ap):
     assert report.relation == next(steps)
 
 
+# every public entry point that takes a kind or fragment, called with one
+_KIND_ENTRY_POINTS = {
+    "refinement_steps": lambda a, ap, kind: next(refinement_steps(GOEDEL, a, ap, kind=kind)),
+    "verify_preservation": lambda a, ap, kind: verify_preservation(
+        GOEDEL, a, ap, FuzzyRelation(), 1, kind=kind),
+    "max_approx_lambda": lambda a, ap, kind: max_approx_lambda(GOEDEL, a, ap, kind),
+    "hm_degree_bounded": lambda a, ap, kind: hm_degree_bounded(GOEDEL, a, ap, 1, kind),
+    "enumerate_formulas": lambda a, ap, kind: enumerate_formulas(GOEDEL, a, ap, 1, kind),
+    "hm_agreement": lambda a, ap, kind: hm_agreement(GOEDEL, a, ap, 1, kind),
+    "distinguishing_formula": lambda a, ap, kind: distinguishing_formula(
+        GOEDEL, a, ap, "u", "u'", ONE, 1, kind),
+    "report_from_obj": lambda a, ap, kind: report_from_obj(
+        {"kind": kind, "relation": [], "norm": "1", "iterations": 0, "converged": True}),
+}
+
+
 def test_kind_validation(aut_a, aut_ap):
-    with pytest.raises(InputError):
-        list(refinement_steps(GOEDEL, aut_a, aut_ap, kind="cosimulation"))
+    for name, call in _KIND_ENTRY_POINTS.items():
+        for kind in ("sim", "Simulation", "BISIM", "bisimulation"):
+            call(aut_a, aut_ap, kind)
+        for kind in ("cosimulation", ""):
+            with pytest.raises(InputError, match="unknown kind"):
+                call(aut_a, aut_ap, kind)
     with pytest.raises(InputError):
         verify_preservation(GOEDEL, aut_a, aut_ap, FuzzyRelation(), 1, kind="none")
+    assert report_from_obj({"kind": "BISIM", "relation": [], "norm": "1", "iterations": 0,
+                            "converged": True}).kind == "bisimulation"
 
 
 def test_lambda_approx_checks(aut_a, aut_ap):
@@ -413,4 +442,42 @@ def test_crisp_checks_match_oracle(lat):
         assert check_crisp_simulation(lat, a, ap, phi) == sim
         assert check_crisp_bisimulation(lat, a, ap, phi) == (not report)
         verdicts.update({sim, not report})
+    assert verdicts == {True, False}
+
+
+def _preservation_by_words(lat, a, ap, phi, k, bidir):
+    """verify_preservation's pointwise_ok, global_ok and global_degree from one
+    forward evaluation per word (and per state) of length <= k."""
+    op = lat.biresiduum if bidir else lat.residuum
+    symbols = sorted(set(a.alphabet) | set(ap.alphabet))
+    words = [w for n in range(k + 1) for w in itertools.product(symbols, repeat=n)]
+
+    def readable(aut, w):
+        return set(w) <= set(aut.alphabet)
+
+    def from_state(aut, x, w):
+        return lang_degree_from_state(lat, aut, x, w) if readable(aut, w) else ZERO
+
+    def lang(aut, w):
+        return lang_degree(lat, aut, w) if readable(aut, w) else ZERO
+
+    pointwise_ok = all(d <= min(op(from_state(a, x, w), from_state(ap, xp, w)) for w in words)
+                       for (x, xp), d in phi.items())
+    global_degree = min(op(lang(a, w), lang(ap, w)) for w in words)
+    norm = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi)
+    return pointwise_ok, norm <= global_degree, global_degree
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+def test_preservation_matches_word_by_word_evaluation(lat):
+    one_sided = [(*_ONE_SIDED, random_relation(_ONE_SIDED[0].states, _ONE_SIDED[1].states,
+                                               _MIXED, seed).relation) for seed in range(4)]
+    verdicts = set()
+    for i, (a, ap, phi) in enumerate([*_random_cases(lat, range(6)), *one_sided]):
+        k = i % 5
+        for kind, bidir in (("sim", False), ("bisim", True)):
+            report = verify_preservation(lat, a, ap, phi, k, kind=kind)
+            expected = _preservation_by_words(lat, a, ap, phi, k, bidir)
+            assert (report.pointwise_ok, report.global_ok, report.global_degree) == expected
+            verdicts.update({report.pointwise_ok, report.global_ok})
     assert verdicts == {True, False}
