@@ -114,10 +114,7 @@ def delta_rel(aut: FuzzyAutomaton, s: str) -> FuzzyRelation:
 
 def lang_degree(lat: ResiduatedLattice, aut: FuzzyAutomaton, word: Sequence[str]) -> Fraction:
     """Recognized degree of the word, a sequence of symbol names."""
-    front = aut.sigma
-    for s in word:
-        front = compose_set_rel(lat, front, delta_rel(aut, s))
-    return compose_set_set(lat, front, aut.tau)
+    return _degree_from(lat, aut, aut.sigma, word)
 
 
 def lang_degree_from_state(lat: ResiduatedLattice, aut: FuzzyAutomaton,
@@ -125,7 +122,10 @@ def lang_degree_from_state(lat: ResiduatedLattice, aut: FuzzyAutomaton,
     """Recognized degree with the initial set replaced by {x: 1}."""
     if x not in aut.states:
         raise InputError(f"unknown state {x!r} for automaton {aut.name!r}")
-    front = FuzzySet({x: ONE})
+    return _degree_from(lat, aut, FuzzySet({x: ONE}), word)
+
+
+def _degree_from(lat, aut, front: FuzzySet, word) -> Fraction:
     for s in word:
         front = compose_set_rel(lat, front, delta_rel(aut, s))
     return compose_set_set(lat, front, aut.tau)
@@ -142,13 +142,14 @@ def words_up_to(aut: FuzzyAutomaton, k: int) -> list:
     return out
 
 
-def max_live_word_length(aut: FuzzyAutomaton):
+def max_live_word_length(aut: FuzzyAutomaton, starts=None):
     """Length certificate for bounded language comparison.
 
     If the support digraph of the union of all delta_s is acyclic, returns
-    the longest path length from support(sigma) to support(tau); every
-    strictly longer word then has degree 0.  Any cycle yields UNBOUNDED,
-    which is sufficient but not necessary for unboundedly long live words.
+    the longest path length from the start states (default support(sigma))
+    to support(tau); every strictly longer word then has degree 0 from each
+    start state.  Any cycle yields UNBOUNDED, which is sufficient but not
+    necessary for unboundedly long live words.
     """
     succs: dict = {x: set() for x in aut.states}
     preds: dict = {x: set() for x in aut.states}
@@ -159,7 +160,8 @@ def max_live_word_length(aut: FuzzyAutomaton):
         order = list(graphlib.TopologicalSorter(preds).static_order())
     except graphlib.CycleError:
         return UNBOUNDED
-    dist = {x: (0 if aut.sigma.degree(x) > ZERO else -1) for x in aut.states}
+    starts = aut.sigma.support() if starts is None else set(starts)
+    dist = {x: (0 if x in starts else -1) for x in aut.states}
     for x in order:
         if dist[x] < 0:
             continue

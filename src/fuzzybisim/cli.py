@@ -131,16 +131,9 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_automaton(path: str):
+def _load(path: str, parse):
     try:
-        return parse_automaton(_read_text(path))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_relation(path: str):
-    try:
-        return parse_relation(_read_text(path))
+        return parse(_read_text(path))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -164,7 +157,7 @@ def _emit(args, obj, text_lines) -> None:
 
 def _cmd_lang(args) -> int:
     lat = by_name(args.lattice)
-    aut = _load_automaton(args.automaton)
+    aut = _load(args.automaton, parse_automaton)
     degree = lang_degree(lat, aut, _parse_word(args.word))
     _emit(args, format_degree(degree), [format_degree(degree)])
     return 0
@@ -172,9 +165,9 @@ def _cmd_lang(args) -> int:
 
 def _cmd_check(args) -> int:
     lat = by_name(args.lattice)
-    a = _load_automaton(args.automaton)
-    ap = _load_automaton(args.automaton_prime)
-    phi = _load_relation(args.relation)
+    a = _load(args.automaton, parse_automaton)
+    ap = _load(args.automaton_prime, parse_automaton)
+    phi = _load(args.relation, parse_relation)
     lam = None
     if args.lam is not None:
         mode = "lambda"
@@ -201,8 +194,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_greatest(args) -> int:
     lat = by_name(args.lattice)
-    a = _load_automaton(args.automaton)
-    ap = _load_automaton(args.automaton_prime)
+    a = _load(args.automaton, parse_automaton)
+    ap = _load(args.automaton_prime, parse_automaton)
     compute = greatest_fuzzy_bisimulation if args.bidir else greatest_fuzzy_simulation
     report = compute(lat, a, ap, max_iters=args.max_iters)
     obj = report_to_obj(report)
@@ -218,9 +211,9 @@ def _cmd_greatest(args) -> int:
 
 def _cmd_norm(args) -> int:
     lat = by_name(args.lattice)
-    a = _load_automaton(args.automaton)
-    ap = _load_automaton(args.automaton_prime)
-    phi = _load_relation(args.relation)
+    a = _load(args.automaton, parse_automaton)
+    ap = _load(args.automaton_prime, parse_automaton)
+    phi = _load(args.relation, parse_relation)
     value = (bisim_norm if _parse_kind(args.kind) else sim_norm)(lat, a, ap, phi)
     _emit(args, format_degree(value), [format_degree(value)])
     return 0
@@ -228,9 +221,9 @@ def _cmd_norm(args) -> int:
 
 def _cmd_verify_preservation(args) -> int:
     lat = by_name(args.lattice)
-    a = _load_automaton(args.automaton)
-    ap = _load_automaton(args.automaton_prime)
-    phi = _load_relation(args.relation)
+    a = _load(args.automaton, parse_automaton)
+    ap = _load(args.automaton_prime, parse_automaton)
+    phi = _load(args.relation, parse_relation)
     report = verify_preservation(lat, a, ap, phi, args.max_len, kind=args.kind)
     obj = preservation_to_obj(report)
     ok = report.pointwise_ok and report.global_ok
@@ -243,8 +236,8 @@ def _cmd_verify_preservation(args) -> int:
 
 def _cmd_hm_degree(args) -> int:
     lat = by_name(args.lattice)
-    a = _load_automaton(args.automaton)
-    ap = _load_automaton(args.automaton_prime)
+    a = _load(args.automaton, parse_automaton)
+    ap = _load(args.automaton_prime, parse_automaton)
     rel = hm_degree_bounded(lat, a, ap, args.depth, args.fragment)
     obj = relation_json_array(rel)
     lines = [f"{x} {xp} {format_degree(d)}" for (x, xp), d in rel.items()]
@@ -254,7 +247,7 @@ def _cmd_hm_degree(args) -> int:
 
 def _cmd_eval_formula(args) -> int:
     lat = by_name(args.lattice)
-    aut = _load_automaton(args.automaton)
+    aut = _load(args.automaton, parse_automaton)
     formula = parse_formula(args.formula)
     values = eval_formula(lat, aut, formula)
     obj = {x: format_degree(values.degree(x)) for x in aut.states}
@@ -265,8 +258,8 @@ def _cmd_eval_formula(args) -> int:
 
 def _cmd_max_lambda(args) -> int:
     lat = by_name(args.lattice)
-    a = _load_automaton(args.automaton)
-    ap = _load_automaton(args.automaton_prime)
+    a = _load(args.automaton, parse_automaton)
+    ap = _load(args.automaton_prime, parse_automaton)
     value = max_approx_lambda(lat, a, ap, args.kind, max_iters=args.max_iters)
     _emit(args, format_degree(value), [format_degree(value)])
     return 0

@@ -21,10 +21,12 @@ biresidua), and a top-level conjunction never drops below the meet of its
 conjuncts' readouts.  The infimum over all formulas of step-depth <= d is
 therefore realized on the atoms: Tau plus the single-step formulas over
 the depth-(d-1) inner set.  Inner sets are still closed under meets and
-guards, because guards inside a step do matter; closure is deduplicated by
-evaluation vector over the two state spaces, with at most one guard
-applied directly to any subformula (guard stacking collapses for -> and is
-cut from the search space for <->).
+guards, because guards inside a step do matter.  The closure keeps each
+formula as one joint evaluation vector, its degrees on the states of A
+followed by its degrees on the states of A'; that tuple is also the dedup
+key, so only the first formula reaching a vector is kept.  At most one
+guard is applied directly to any subformula (guard stacking collapses for
+-> and is cut from the search space for <->).
 """
 
 from __future__ import annotations
@@ -154,73 +156,56 @@ def _apply_step(lat, aut, s, sub: dict) -> dict:
     return out
 
 
-def _closure(lat, a, ap, seeds, pool, bidir: bool) -> list:
-    """Close seed items under guards and pairwise meets, deduplicating by
-    joint evaluation vector. Items are (formula, map over A, map over A')."""
+def _closure(lat, seeds, pool, bidir: bool) -> dict:
+    """Close the seed (vector, formula) items under guards and pairwise meets.
+    Returns the joint vectors, in order of discovery, each with its first formula."""
     guard_cls = Iff if bidir else Implies
     guard_op = lat.biresiduum if bidir else lat.residuum
     items: dict = {}
-    order: list = []
     queue = deque()
 
-    def vkey(va, vb):
-        return (tuple(va[x] for x in a.states)
-                + tuple(vb[x] for x in ap.states))
+    def add(vec, formula):
+        if vec not in items:
+            items[vec] = formula
+            queue.append(vec)
 
-    def add(formula, va, vb):
-        k = vkey(va, vb)
-        if k in items:
-            return
-        items[k] = (formula, va, vb)
-        order.append(k)
-        queue.append(k)
-
-    for formula, va, vb in seeds:
-        add(formula, va, vb)
+    for vec, formula in seeds:
+        add(vec, formula)
     while queue:
-        k = queue.popleft()
-        formula, va, vb = items[k]
+        vec = queue.popleft()
+        formula = items[vec]
         if not isinstance(formula, (Implies, Iff)):
             for c in pool:
-                gva = {x: guard_op(c, va[x]) for x in a.states}
-                gvb = {x: guard_op(c, vb[x]) for x in ap.states}
-                add(guard_cls(c, formula), gva, gvb)
-        for k2 in list(order):
-            formula2, va2, vb2 = items[k2]
-            mva = {x: min(va[x], va2[x]) for x in a.states}
-            mvb = {x: min(vb[x], vb2[x]) for x in ap.states}
-            add(And(formula2, formula), mva, mvb)
-    return [items[k] for k in order]
+                add(tuple(guard_op(c, d) for d in vec), guard_cls(c, formula))
+        for vec2, formula2 in list(items.items()):
+            add(tuple(map(min, vec, vec2)), And(formula2, formula))
+    return items
 
 
-def _tau_item(a, ap):
-    return (TAU,
-            {x: a.tau.degree(x) for x in a.states},
-            {x: ap.tau.degree(x) for x in ap.states})
-
-
-def _step_items(lat, a, ap, reps, symbols) -> list:
+def _steps(lat, a, ap, reps, symbols) -> list:
+    """(vector, Step(s, formula)) for every (vector, formula) of reps and every symbol."""
+    n = len(a.states)
     out = []
-    for formula, va, vb in reps:
+    for vec, formula in reps:
+        sub_a, sub_ap = dict(zip(a.states, vec[:n])), dict(zip(ap.states, vec[n:]))
         for s in symbols:
-            out.append((Step(s, formula),
-                        _apply_step(lat, a, s, va),
-                        _apply_step(lat, ap, s, vb)))
+            out.append((tuple(_apply_step(lat, a, s, sub_a).values())
+                        + tuple(_apply_step(lat, ap, s, sub_ap).values()), Step(s, formula)))
     return out
 
 
 def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
     """Tau plus the step formulas over the depth-(d-1) inner set: the atoms
-    whose readouts realize the bounded infimum."""
+    whose readouts realize the bounded infimum, as (vector, formula) items."""
     symbols = sorted(set(a.alphabet) | set(ap.alphabet))
-    tau_item = _tau_item(a, ap)
+    tau = (tuple(a.tau.degree(x) for x in a.states)
+           + tuple(ap.tau.degree(x) for x in ap.states), TAU)
     if depth == 0:
-        return [tau_item]
-    reps = _closure(lat, a, ap, [tau_item], pool, bidir)
+        return [tau]
+    reps = _closure(lat, [tau], pool, bidir)
     for _ in range(depth - 1):
-        seeds = [tau_item] + _step_items(lat, a, ap, reps, symbols)
-        reps = _closure(lat, a, ap, seeds, pool, bidir)
-    return [tau_item] + _step_items(lat, a, ap, reps, symbols)
+        reps = _closure(lat, [tau] + _steps(lat, a, ap, reps.items(), symbols), pool, bidir)
+    return [tau] + _steps(lat, a, ap, reps.items(), symbols)
 
 
 def _readout_atoms(lat, a, ap, depth, fragment, pool_cap) -> tuple:
@@ -240,11 +225,11 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
     the given step-depth.  Antitone in depth; always above the true degree."""
     op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
     out: dict = {}
-    for x in a.states:
-        for xp in ap.states:
+    for i, x in enumerate(a.states):
+        for j, xp in enumerate(ap.states, len(a.states)):
             v = ONE
-            for _formula, va, vb in atoms:
-                r = op(va[x], vb[xp])
+            for vec, _formula in atoms:
+                r = op(vec[i], vec[j])
                 if r < v:
                     v = r
                     if v == ZERO:
@@ -258,7 +243,7 @@ def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutom
                        depth: int, fragment, pool_cap: int = DEFAULT_POOL_CAP) -> list:
     """The atom formulas whose readouts realize hm_degree_bounded."""
     _op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
-    return [formula for formula, _va, _vb in atoms]
+    return [formula for _vec, formula in atoms]
 
 
 @dataclass(frozen=True)
@@ -295,8 +280,9 @@ def distinguishing_formula(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyA
     # a bad depth is reported before a bad target, a bad target before a bad fragment
     target = target if depth < 0 else parse_degree(target)
     op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
-    for formula, va, vb in atoms:
-        if op(va[x], vb[xp]) <= target:
+    i, j = a.states.index(x), len(a.states) + ap.states.index(xp)
+    for vec, formula in atoms:
+        if op(vec[i], vec[j]) <= target:
             ea = _eval_map(lat, a, formula, strict=False)
             eb = _eval_map(lat, ap, formula, strict=False)
             if op(ea[x], eb[xp]) <= target:

@@ -144,12 +144,9 @@ PRODUCT = ResiduatedLattice("product")
 
 def by_name(name: str) -> ResiduatedLattice:
     """Look up a lattice by its CLI name: godel, lukasiewicz or product."""
-    if name == "godel":
-        return GOEDEL
-    if name == "lukasiewicz":
-        return LUKASIEWICZ
-    if name == "product":
-        return PRODUCT
+    for lat in (GOEDEL, LUKASIEWICZ, PRODUCT):
+        if lat.kind == name:
+            return lat
     raise InputError(f"unknown lattice kind {name!r}; expected one of {list(_KINDS)}")
 
 

@@ -114,7 +114,8 @@ class PreservationReport:
     """Bounded-word verification of the language preservation bounds.
 
     exact is True when the word bound provably covers every live word of
-    both automata, making the truncated infima the true ones.
+    both automata read from their initial states and from the states in
+    phi's support, making the truncated infima the true ones.
     """
 
     pointwise_ok: bool
@@ -461,7 +462,7 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     norm(phi) <= S(L(A), L(A')).  For bisimulations the same with E in
     place of S and the bisimulation norm.  The infima are truncated to
     words of length <= k; exact is True when both automata certify that no
-    longer word is live.
+    longer word is live from an initial state or a state in phi's support.
     """
     if k < 0:
         raise InputError("word length bound must be >= 0")
@@ -498,8 +499,8 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     normval = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi)
     global_ok = normval <= global_degree
 
-    live_a = max_live_word_length(a)
-    live_ap = max_live_word_length(ap)
+    live_a = max_live_word_length(a, a.sigma.support() | {x for x, _xp in phi.support()})
+    live_ap = max_live_word_length(ap, ap.sigma.support() | {xp for _x, xp in phi.support()})
     exact = (live_a is not UNBOUNDED and live_a <= k
              and live_ap is not UNBOUNDED and live_ap <= k)
 

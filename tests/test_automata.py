@@ -109,6 +109,8 @@ def test_max_live_word_length(aut_a):
         delta={("1", "a", "2"): "1/2", ("2", "a", "3"): "1/2"},
         sigma={"1": "1"}, tau={"3": "1"})
     assert max_live_word_length(chain) == 2
+    assert max_live_word_length(chain, ["2"]) == 1
+    assert max_live_word_length(chain, []) == 0
     looped = small(delta={("p", "a", "q"): "0.5", ("q", "a", "p"): "0.5"})
     assert max_live_word_length(looped) is UNBOUNDED
     # terminal state unreachable from the initial one: nothing is live

@@ -4,6 +4,7 @@ import pytest
 
 from fuzzybisim import (
     GOEDEL,
+    LUKASIEWICZ,
     ONE,
     PRODUCT,
     TAU,
@@ -29,6 +30,8 @@ from fuzzybisim import (
     refinement_steps,
 )
 from fuzzybisim.errors import InputError, NonConvergenceError
+from fuzzybisim.hmlogic import _eval_map, _top_atoms
+from fuzzybisim.oracle import random_automaton
 
 
 def test_reference_readouts(aut_a, aut_ap):
@@ -129,6 +132,24 @@ def test_constant_pool(aut_a, aut_ap):
     assert len(capped) <= 8
     with pytest.raises(InputError):
         constant_pool(GOEDEL, aut_a, aut_ap, depth=1, cap=1)
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+@pytest.mark.parametrize("bidir", [False, True], ids=["sim", "bisim"])
+def test_every_atom_vector_is_its_formula_evaluated(lat, bidir):
+    # each atom's joint vector is its formula's degrees on A, then on A';
+    # the product bisimulation closure does not finish above depth 0
+    for depth in (0,) if lat is PRODUCT and bidir else (0, 1, 2):
+        for seed in range(4):
+            a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 90 + seed)
+            ap = random_automaton("B", 3 - seed % 3, ["a"], ("1/3", "1"), 190 + seed)
+            pool = constant_pool(lat, a, ap, depth, 64 if lat is GOEDEL else 2)
+            atoms = _top_atoms(lat, a, ap, depth, bidir, pool)
+            assert isinstance(atoms, list)
+            for vec, formula in atoms:
+                ea = _eval_map(lat, a, formula, strict=False)
+                eb = _eval_map(lat, ap, formula, strict=False)
+                assert vec == tuple(ea.values()) + tuple(eb.values())
 
 
 def test_enumeration_respects_fragment(aut_a, aut_ap):

@@ -307,6 +307,18 @@ def test_verify_preservation_flags_bad_relation(aut_a, aut_ap):
     assert not report.pointwise_ok
 
 
+def test_exact_covers_words_from_the_relation_support():
+    # A's only transition leaves q, which the initial set misses but phi reads
+    a = FuzzyAutomaton("A", ["p", "q", "r"], ["a"], {("q", "a", "r"): "1"},
+                       {"p": "1"}, {"p": "1", "r": "1"})
+    ap = FuzzyAutomaton("B", ["p2", "q2"], ["a"], {}, {"p2": "1"}, {"p2": "1"})
+    phi = FuzzyRelation({("p", "p2"): "1", ("q", "q2"): "1"})
+    shallow = verify_preservation(GOEDEL, a, ap, phi, 0)
+    assert shallow.pointwise_ok and not shallow.exact
+    deep = verify_preservation(GOEDEL, a, ap, phi, 1)
+    assert not deep.pointwise_ok and deep.exact
+
+
 def test_report_round_trip(aut_a, aut_ap):
     report = greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap)
     obj = report_to_obj(report)
@@ -481,3 +493,29 @@ def test_preservation_matches_word_by_word_evaluation(lat):
             assert (report.pointwise_ok, report.global_ok, report.global_degree) == expected
             verdicts.update({report.pointwise_ok, report.global_ok})
     assert verdicts == {True, False}
+
+
+def _acyclic(aut):
+    """aut without the transitions that do not go forward in state order."""
+    rank = {x: i for i, x in enumerate(aut.states)}
+    return FuzzyAutomaton(aut.name, aut.states, aut.alphabet,
+                          {key: d for key, d in aut.transitions() if rank[key[0]] < rank[key[2]]},
+                          aut.sigma, aut.tau)
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+def test_exact_report_does_not_change_with_longer_words(lat):
+    exact_seen = set()
+    for seed in range(12):
+        a = _acyclic(random_automaton("A", 2 + seed % 3, ["a", "b"], _MIXED, 3000 + seed,
+                                      density=0.6))
+        ap = _acyclic(random_automaton("B", 2 + seed % 2, ["a", "b"], _MIXED, 4000 + seed,
+                                       density=0.6))
+        phi = random_relation(a.states, ap.states, _MIXED, 5000 + seed).relation
+        for kind in ("sim", "bisim"):
+            for k in range(4):
+                report = verify_preservation(lat, a, ap, phi, k, kind=kind)
+                exact_seen.add(report.exact)
+                if report.exact:
+                    assert verify_preservation(lat, a, ap, phi, k + 3, kind=kind) == report
+    assert exact_seen == {True, False}
