@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, decode_json
 from .fuzzyrel import FuzzyRelation, FuzzySet, compose_set_rel, compose_set_set
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
@@ -224,11 +224,7 @@ def automaton_from_obj(obj) -> FuzzyAutomaton:
 
 
 def parse_automaton(text: str) -> FuzzyAutomaton:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed automaton JSON: {exc}") from exc
-    return automaton_from_obj(obj)
+    return automaton_from_obj(decode_json(text, "automaton"))
 
 
 def automaton_to_obj(aut: FuzzyAutomaton) -> dict:

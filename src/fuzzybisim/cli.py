@@ -45,6 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="iteration cap for fixpoint sweeps")
     common.add_argument("--output", choices=("json", "text"), default="json",
                         help="output format (default: json)")
+    one = argparse.ArgumentParser(add_help=False, parents=[common])
+    one.add_argument("automaton")
+    pair = argparse.ArgumentParser(add_help=False, parents=[one])
+    pair.add_argument("automaton_prime")
 
     parser = argparse.ArgumentParser(
         prog="fuzzybisim",
@@ -52,20 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "bisimulations, and formula degrees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lang", parents=[common],
+    p = sub.add_parser("lang", parents=[one],
                        help="degree of a word in an automaton's language")
-    p.add_argument("automaton")
     p.add_argument("--word", required=True,
                    help="comma-separated symbols; empty string for the empty word")
     p.set_defaults(run=_cmd_lang)
 
     for cmd, bidir in (("check-sim", False), ("check-bisim", True)):
         noun = _KIND_NAMES[bidir]
-        p = sub.add_parser(cmd, parents=[common],
+        p = sub.add_parser(cmd, parents=[pair],
                            help=f"check whether a relation is a {noun}")
         p.set_defaults(run=_cmd_check, bidir=bidir)
-        p.add_argument("automaton")
-        p.add_argument("automaton_prime")
         p.add_argument("--relation", required=True, help="relation JSON file")
         group = p.add_mutually_exclusive_group()
         group.add_argument("--crisp", action="store_true",
@@ -75,49 +76,38 @@ def build_parser() -> argparse.ArgumentParser:
                                 "conditions (godel lattice only)")
 
     for cmd, bidir in (("greatest-sim", False), ("greatest-bisim", True)):
-        p = sub.add_parser(cmd, parents=[common],
+        p = sub.add_parser(cmd, parents=[pair],
                            help=f"compute the greatest fuzzy {_KIND_NAMES[bidir]}")
         p.set_defaults(run=_cmd_greatest, bidir=bidir)
-        p.add_argument("automaton")
-        p.add_argument("automaton_prime")
 
-    p = sub.add_parser("norm", parents=[common],
+    p = sub.add_parser("norm", parents=[pair],
                        help="how far a relation is from covering the initial sets")
-    p.add_argument("automaton")
-    p.add_argument("automaton_prime")
     p.add_argument("--relation", required=True)
     p.add_argument("--kind", choices=("sim", "bisim"), required=True)
     p.set_defaults(run=_cmd_norm)
 
-    p = sub.add_parser("verify-preservation", parents=[common],
+    p = sub.add_parser("verify-preservation", parents=[pair],
                        help="check language inequalities implied by a relation, "
                             "over all words up to a length bound")
-    p.add_argument("automaton")
-    p.add_argument("automaton_prime")
     p.add_argument("--relation", required=True)
     p.add_argument("--kind", choices=("sim", "bisim"), default="sim")
     p.add_argument("--max-len", type=int, required=True, metavar="K")
     p.set_defaults(run=_cmd_verify_preservation)
 
-    p = sub.add_parser("hm-degree", parents=[common],
+    p = sub.add_parser("hm-degree", parents=[pair],
                        help="per-pair infimum of formula readouts up to a depth")
-    p.add_argument("automaton")
-    p.add_argument("automaton_prime")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--fragment", choices=("sim", "bisim"), required=True)
     p.set_defaults(run=_cmd_hm_degree)
 
-    p = sub.add_parser("eval-formula", parents=[common],
+    p = sub.add_parser("eval-formula", parents=[one],
                        help="evaluate a formula on every state of an automaton")
-    p.add_argument("automaton")
     p.add_argument("--formula", required=True)
     p.set_defaults(run=_cmd_eval_formula)
 
-    p = sub.add_parser("max-lambda", parents=[common],
+    p = sub.add_parser("max-lambda", parents=[pair],
                        help="largest lambda admitting a lambda-relaxed relation "
                             "of the chosen kind (godel lattice only)")
-    p.add_argument("automaton")
-    p.add_argument("automaton_prime")
     p.add_argument("--kind", choices=("sim", "bisim"), required=True)
     p.set_defaults(run=_cmd_max_lambda)
 
@@ -127,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -136,6 +126,14 @@ def _load(path: str, parse):
         return parse(_read_text(path))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_inputs(args) -> list:
+    """The files the command names, parsed in order: A, A', then the relation.
+    The parsers are read from this module's globals per call: bench/spans.py patches them."""
+    parsers = (("automaton", parse_automaton), ("automaton_prime", parse_automaton),
+               ("relation", parse_relation))
+    return [_load(getattr(args, dest), parse) for dest, parse in parsers if hasattr(args, dest)]
 
 
 def _parse_word(text: str) -> tuple:
@@ -155,19 +153,17 @@ def _emit(args, obj, text_lines) -> None:
             print(line)
 
 
-def _cmd_lang(args) -> int:
-    lat = by_name(args.lattice)
-    aut = _load(args.automaton, parse_automaton)
-    degree = lang_degree(lat, aut, _parse_word(args.word))
-    _emit(args, format_degree(degree), [format_degree(degree)])
+def _emit_degree(args, degree) -> int:
+    text = format_degree(degree)
+    _emit(args, text, [text])
     return 0
 
 
-def _cmd_check(args) -> int:
-    lat = by_name(args.lattice)
-    a = _load(args.automaton, parse_automaton)
-    ap = _load(args.automaton_prime, parse_automaton)
-    phi = _load(args.relation, parse_relation)
+def _cmd_lang(args, lat, aut) -> int:
+    return _emit_degree(args, lang_degree(lat, aut, _parse_word(args.word)))
+
+
+def _cmd_check(args, lat, a, ap, phi) -> int:
     lam = None
     if args.lam is not None:
         mode = "lambda"
@@ -192,10 +188,7 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_greatest(args) -> int:
-    lat = by_name(args.lattice)
-    a = _load(args.automaton, parse_automaton)
-    ap = _load(args.automaton_prime, parse_automaton)
+def _cmd_greatest(args, lat, a, ap) -> int:
     compute = greatest_fuzzy_bisimulation if args.bidir else greatest_fuzzy_simulation
     report = compute(lat, a, ap, max_iters=args.max_iters)
     obj = report_to_obj(report)
@@ -209,21 +202,11 @@ def _cmd_greatest(args) -> int:
     return 0 if report.converged else 3
 
 
-def _cmd_norm(args) -> int:
-    lat = by_name(args.lattice)
-    a = _load(args.automaton, parse_automaton)
-    ap = _load(args.automaton_prime, parse_automaton)
-    phi = _load(args.relation, parse_relation)
-    value = (bisim_norm if _parse_kind(args.kind) else sim_norm)(lat, a, ap, phi)
-    _emit(args, format_degree(value), [format_degree(value)])
-    return 0
+def _cmd_norm(args, lat, a, ap, phi) -> int:
+    return _emit_degree(args, (bisim_norm if _parse_kind(args.kind) else sim_norm)(lat, a, ap, phi))
 
 
-def _cmd_verify_preservation(args) -> int:
-    lat = by_name(args.lattice)
-    a = _load(args.automaton, parse_automaton)
-    ap = _load(args.automaton_prime, parse_automaton)
-    phi = _load(args.relation, parse_relation)
+def _cmd_verify_preservation(args, lat, a, ap, phi) -> int:
     report = verify_preservation(lat, a, ap, phi, args.max_len, kind=args.kind)
     obj = preservation_to_obj(report)
     ok = report.pointwise_ok and report.global_ok
@@ -234,10 +217,7 @@ def _cmd_verify_preservation(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_hm_degree(args) -> int:
-    lat = by_name(args.lattice)
-    a = _load(args.automaton, parse_automaton)
-    ap = _load(args.automaton_prime, parse_automaton)
+def _cmd_hm_degree(args, lat, a, ap) -> int:
     rel = hm_degree_bounded(lat, a, ap, args.depth, args.fragment)
     obj = relation_json_array(rel)
     lines = [f"{x} {xp} {format_degree(d)}" for (x, xp), d in rel.items()]
@@ -245,9 +225,7 @@ def _cmd_hm_degree(args) -> int:
     return 0
 
 
-def _cmd_eval_formula(args) -> int:
-    lat = by_name(args.lattice)
-    aut = _load(args.automaton, parse_automaton)
+def _cmd_eval_formula(args, lat, aut) -> int:
     formula = parse_formula(args.formula)
     values = eval_formula(lat, aut, formula)
     obj = {x: format_degree(values.degree(x)) for x in aut.states}
@@ -256,19 +234,14 @@ def _cmd_eval_formula(args) -> int:
     return 0
 
 
-def _cmd_max_lambda(args) -> int:
-    lat = by_name(args.lattice)
-    a = _load(args.automaton, parse_automaton)
-    ap = _load(args.automaton_prime, parse_automaton)
-    value = max_approx_lambda(lat, a, ap, args.kind, max_iters=args.max_iters)
-    _emit(args, format_degree(value), [format_degree(value)])
-    return 0
+def _cmd_max_lambda(args, lat, a, ap) -> int:
+    return _emit_degree(args, max_approx_lambda(lat, a, ap, args.kind, max_iters=args.max_iters))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return args.run(args, by_name(args.lattice), *_load_inputs(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, decode_json
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 
@@ -23,12 +23,7 @@ class FuzzySet:
 
     def __init__(self, entries: Mapping | Iterable = ()):
         pairs = entries.items() if isinstance(entries, Mapping) else entries
-        cleaned = {}
-        for key, value in pairs:
-            degree = parse_degree(value)
-            if degree != ZERO:
-                cleaned[key] = degree
-        self._entries = cleaned
+        self._entries = _nonzero(pairs)
 
     def degree(self, x) -> Fraction:
         return self._entries.get(x, ZERO)
@@ -46,50 +41,44 @@ class FuzzySet:
         return bool(self._entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FuzzySet) and self._entries == other._entries
+        # exact types: a set never equals a relation, even with equal entries
+        return type(other) is type(self) and self._entries == other._entries
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {format_degree(v)}" for k, v in self.items())
-        return f"FuzzySet({{{inner}}})"
+        return f"{type(self).__name__}({{{inner}}})"
 
 
-class FuzzyRelation:
-    """Sparse map from ordered pairs of element identifiers to nonzero degrees."""
+class FuzzyRelation(FuzzySet):
+    """A fuzzy set whose elements are ordered pairs of element identifiers."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
     def __init__(self, entries: Mapping | Iterable = ()):
         pairs = entries.items() if isinstance(entries, Mapping) else entries
-        cleaned = {}
-        for key, value in pairs:
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise InputError(f"relation key must be a pair, got {key!r}")
-            degree = parse_degree(value)
-            if degree != ZERO:
-                cleaned[key] = degree
-        self._entries = cleaned
+        self._entries = _nonzero(_checked_pairs(pairs))
 
     def degree(self, x, y) -> Fraction:
         return self._entries.get((x, y), ZERO)
 
-    def support(self) -> set:
-        return set(self._entries)
 
-    def items(self) -> list:
-        return sorted(self._entries.items())
+def _nonzero(pairs) -> dict:
+    """The (key, degree) pairs whose parsed degree is not 0, as a dict."""
+    cleaned = {}
+    for key, value in pairs:
+        degree = parse_degree(value)
+        if degree:  # cheaper than comparing the Fraction with ZERO
+            cleaned[key] = degree
+    return cleaned
 
-    def __len__(self) -> int:
-        return len(self._entries)
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FuzzyRelation) and self._entries == other._entries
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"({k[0]!r}, {k[1]!r}): {format_degree(v)}" for k, v in self.items())
-        return f"FuzzyRelation({{{inner}}})"
+def _checked_pairs(pairs):
+    """pairs, each key checked as it is read, so a bad key is reported before
+    any later entry's degree is parsed, and sets pay nothing for the check."""
+    for key, value in pairs:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise InputError(f"relation key must be a pair, got {key!r}")
+        yield key, value
 
 
 def subsethood(lat: ResiduatedLattice, f, g) -> Fraction:
@@ -101,7 +90,7 @@ def subsethood(lat: ResiduatedLattice, f, g) -> Fraction:
     """
     out = ONE
     for key, fv in f.items():
-        r = lat.residuum(fv, _value_at(g, key))
+        r = lat.residuum(fv, g._entries.get(key, ZERO))
         if r < out:
             out = r
     return out
@@ -111,21 +100,15 @@ def equality(lat: ResiduatedLattice, f, g) -> Fraction:
     """Degree to which f and g are equal: the meet of f(x) <-> g(x)."""
     out = ONE
     for key in sorted(f.support() | g.support()):
-        r = lat.biresiduum(_value_at(f, key), _value_at(g, key))
+        r = lat.biresiduum(f._entries.get(key, ZERO), g._entries.get(key, ZERO))
         if r < out:
             out = r
     return out
 
 
-def _value_at(container, key) -> Fraction:
-    if isinstance(container, FuzzyRelation):
-        return container.degree(key[0], key[1])
-    return container.degree(key)
-
-
 def pointwise_leq(f, g) -> bool:
     """Exact pointwise comparison f <= g for two sets or two relations."""
-    return all(fv <= _value_at(g, key) for key, fv in f.items())
+    return all(fv <= g._entries.get(key, ZERO) for key, fv in f.items())
 
 
 def compose_rel_rel(lat: ResiduatedLattice, phi: FuzzyRelation, psi: FuzzyRelation) -> FuzzyRelation:
@@ -190,10 +173,8 @@ def union(relations: Iterable[FuzzyRelation]) -> FuzzyRelation:
 def scalar_meet(lam: Fraction, obj):
     """(lam /\\ f)(x) = lam /\\ f(x), for a FuzzySet or a FuzzyRelation."""
     lam = parse_degree(lam)
-    if isinstance(obj, FuzzyRelation):
-        return FuzzyRelation({key: min(lam, d) for key, d in obj.items()})
     if isinstance(obj, FuzzySet):
-        return FuzzySet({key: min(lam, d) for key, d in obj.items()})
+        return type(obj)({key: min(lam, d) for key, d in obj.items()})
     raise InputError(f"scalar_meet expects a FuzzySet or FuzzyRelation, got {type(obj).__name__}")
 
 
@@ -249,8 +230,4 @@ def relation_from_obj(obj) -> FuzzyRelation:
 
 
 def parse_relation(text: str) -> FuzzyRelation:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed relation JSON: {exc}") from exc
-    return relation_from_obj(obj)
+    return relation_from_obj(decode_json(text, "relation"))

@@ -33,12 +33,21 @@ ONE = Fraction(1)
 
 _KINDS = ("godel", "lukasiewicz", "product")
 
+# Largest exponent magnitude a decimal degree literal may carry: Fraction
+# expands "1e-N" into an N-digit power of ten, which takes seconds once N
+# reaches the millions.  4300 is the interpreter's default int/str digit limit.
+MAX_EXPONENT = 4300
+# a decimal literal with an exponent, in the syntax Fraction reads
+_EXPONENT_LITERAL = re.compile(r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+                               r"[eE]([-+]?\d+(?:_\d+)*)")
+
 
 def parse_degree(value) -> Fraction:
     """Parse a rational literal into an exact degree in [0, 1].
 
-    Accepts strings like "3/5", "0.7" or "1" (decimals convert exactly),
-    plain ints, and Fraction values.  Floats are rejected: binary floats
+    Accepts strings like "3/5", "0.7" or "1" (decimals convert exactly, with
+    an exponent of at most MAX_EXPONENT in magnitude), plain ints, and
+    Fraction values.  Floats are rejected: binary floats
     are inexact and would poison every downstream comparison.
     """
     if isinstance(value, bool):
@@ -52,8 +61,13 @@ def parse_degree(value) -> Fraction:
             f"refusing inexact float degree {value!r}: write it as a string, e.g. \"7/10\""
         )
     elif isinstance(value, str):
+        text = value.strip()
+        literal = ("e" in text or "E" in text) and _EXPONENT_LITERAL.fullmatch(text)
+        # Decimal reads an exponent of any length; int stops at the digit limit
+        if literal and abs(Decimal(literal[1].replace("_", ""))) > MAX_EXPONENT:
+            raise InputError(f"degree {value!r} has an exponent beyond {MAX_EXPONENT} in magnitude")
         try:
-            degree = _parse_rational(value.strip())
+            degree = _parse_rational(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational literal: {value!r}") from exc
     else:

@@ -265,14 +265,17 @@ class _Kernel:
                         for _, rel_p in rels]
         self.succ = [_by_src(e, len(pos)) for e in self.edges]
         self.succ_p = [_by_src(e, len(pos_p)) for e in self.edges_p]
-        res = self.residuum
+        res, m = self.residuum, len(pos_p)
         tau = [encode(a.tau.degree(x)) for x in a.states]
         tau_p = [encode(ap.tau.degree(xp)) for xp in ap.states]
-        self.phi0 = [min(res(p, q), res(q, p)) if bidir else res(p, q)
-                     for p in tau for q in tau_p]
-        self.phi = [self.zero] * len(self.phi0)
+        self.phi = [self.zero] * (len(pos) * m)
         for (x, xp), d in phi.items():
-            self.phi[pos[x] * len(pos_p) + pos_p[xp]] = encode(d)
+            self.phi[pos[x] * m + pos_p[xp]] = encode(d)
+        # refine reads phi_0 on its argument's support only, and a check refines phi
+        self.phi0 = [self.zero] * len(self.phi)
+        for i in ([i for i, v in enumerate(self.phi) if v] if phi else range(len(self.phi))):
+            p, q = tau[i // m], tau_p[i % m]
+            self.phi0[i] = min(res(p, q), res(q, p)) if bidir else res(p, q)
 
     def _compose(self, edges, groups, rows: int, cols: int) -> list:
         """sup over (x, y, d) in edges and (z, e) in groups[y] of d (x) e, at x * cols + z."""

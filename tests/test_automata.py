@@ -159,6 +159,11 @@ def test_parse_automaton_rejects_bad_json():
         parse_automaton('["array"]')
 
 
+def test_parse_automaton_rejects_over_deep_json():
+    with pytest.raises(InputError, match="malformed automaton JSON"):
+        parse_automaton("[" * 100000 + "]" * 100000)
+
+
 def test_equality():
     assert small() == small()
     assert small() != small(name="N")

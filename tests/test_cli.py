@@ -73,6 +73,38 @@ def test_malformed_automaton_names_file(capsys, tmp_path):
     assert "bad.json" in err
 
 
+def _malformed(cls, target):
+    """The bytes of a bad automaton or relation file of one malformed class."""
+    if cls == "not-utf8":
+        return b"\xff\xfe{}"
+    if cls == "too-deep":
+        return b"[" * 100000 + b"]" * 100000
+    degree = {"huge-exponent": '"1e-99999999"', "too-many-digits": "1" * 5000}[cls]
+    if target == "automaton":
+        text = (FIXTURES / "ex_a.json").read_text().replace('"0.7"', degree, 1)
+    else:
+        text = f'[{{"from": "u", "to": "u\'", "degree": {degree}}}]'
+    return text.encode()
+
+
+@pytest.mark.parametrize("cls", ["not-utf8", "too-deep", "huge-exponent", "too-many-digits"])
+@pytest.mark.parametrize("command", ["lang", "check-sim", "eval-formula"])
+def test_malformed_inputs_are_bad_input(capsys, tmp_path, command, cls):
+    bad_aut, bad_rel = tmp_path / "a.json", tmp_path / "rel.json"
+    bad_aut.write_bytes(_malformed(cls, "automaton"))
+    bad_rel.write_bytes(_malformed(cls, "relation"))
+    argv = {
+        "lang": ["lang", str(bad_aut), "--word", "s"],
+        "check-sim": ["check-sim", A, AP, "--relation", str(bad_rel)],
+        "eval-formula": (["eval-formula", A, "--formula", "(1e-99999999 -> T)"]
+                         if cls == "huge-exponent"
+                         else ["eval-formula", str(bad_aut), "--formula", "T"]),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_check_sim(capsys, sim_relation_file):
     code, out, _ = run(capsys, "check-sim", A, AP, "--relation", sim_relation_file)
     assert code == 0

@@ -65,6 +65,16 @@ def test_fuzzy_relation_basics():
         FuzzyRelation({"ab": "0.5"})
 
 
+def test_a_relation_is_a_fuzzy_set_over_pairs():
+    phi = FuzzyRelation({("a", "b"): "1/2"})
+    assert isinstance(phi, FuzzySet)
+    assert FuzzySet() != FuzzyRelation() and FuzzyRelation() != FuzzySet()
+    assert FuzzySet({("a", "b"): "1/2"}) != phi
+    assert repr(FuzzySet({"a": "1/2"})) == "FuzzySet({'a': 1/2})"
+    assert repr(phi) == "FuzzyRelation({('a', 'b'): 1/2})"
+    assert repr(scalar_meet(Fraction(1, 3), phi)) == "FuzzyRelation({('a', 'b'): 1/3})"
+
+
 def test_subsethood_and_equality():
     f = FuzzySet({"x": "0.7", "y": "0.4"})
     g = FuzzySet({"x": "0.5", "y": "0.6"})
@@ -212,6 +222,11 @@ def test_relation_serialization_round_trip():
 def test_parse_relation_rejects(text):
     with pytest.raises(InputError):
         parse_relation(text)
+
+
+def test_parse_relation_rejects_over_deep_json():
+    with pytest.raises(InputError, match="malformed relation JSON"):
+        parse_relation("[" * 100000 + "]" * 100000)
 
 
 def test_zero_degree_entries_are_dropped_on_parse():

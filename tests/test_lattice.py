@@ -98,6 +98,14 @@ def test_parse_degree_rejects(bad):
         parse_degree(bad)
 
 
+def test_parse_degree_exponent_bound():
+    assert parse_degree("1e-4300") == Fraction(1, 10 ** 4300)
+    assert parse_degree("0.5E-4_300") == Fraction(1, 2 * 10 ** 4300)
+    for bad in ("1e-4301", "1E-4301", "0.5e-4_301", "1e-99999999"):
+        with pytest.raises(InputError, match="exponent"):
+            parse_degree(bad)
+
+
 def test_format_degree():
     assert format_degree(Fraction(3, 5)) == "3/5"
     assert format_degree(ONE) == "1"
