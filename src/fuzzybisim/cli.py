@@ -20,6 +20,7 @@ from .lattice import _KINDS, by_name, format_degree, parse_degree
 from .simrel import (
     _KIND_NAMES,
     _parse_kind,
+    _validate_rel,
     bisim_norm,
     check_crisp_bisimulation,
     check_crisp_simulation,
@@ -129,11 +130,15 @@ def _load(path: str, parse):
 
 
 def _load_inputs(args) -> list:
-    """The files the command names, parsed in order: A, A', then the relation.
-    The parsers are read from this module's globals per call: bench/spans.py patches them."""
+    """The files the command names, parsed in order: A, A', then the relation, checked
+    against both.  The parsers are module globals read per call: bench/spans.py patches them."""
+    inputs = []
     parsers = (("automaton", parse_automaton), ("automaton_prime", parse_automaton),
-               ("relation", parse_relation))
-    return [_load(getattr(args, dest), parse) for dest, parse in parsers if hasattr(args, dest)]
+               ("relation", lambda text: _validate_rel(parse_relation(text), *inputs)))
+    for dest, parse in parsers:
+        if hasattr(args, dest):
+            inputs.append(_load(getattr(args, dest), parse))
+    return inputs
 
 
 def _parse_word(text: str) -> tuple:

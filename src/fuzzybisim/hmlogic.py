@@ -12,7 +12,9 @@ The simulation fragment admits no Iff node, the bisimulation fragment no
 Implies node.  A formula evaluates on an automaton to a fuzzy set over all
 states; the per-pair readout residuum(w(x), w(x')) (biresiduum for the
 bisimulation fragment), met over every fragment formula, recovers the
-greatest fuzzy simulation (bisimulation) degree of the pair.
+greatest fuzzy simulation (bisimulation) degree of the pair.  Words are
+the guard-free, meet-free formulas <s1>...<sn> T, so the step and readout
+are shared with simrel's language preservation check.
 
 The bounded enumeration behind hm_degree_bounded exploits two readout
 facts that hold in the linear lattices shipped here: a top-level guard
@@ -22,11 +24,10 @@ conjuncts' readouts.  The infimum over all formulas of step-depth <= d is
 therefore realized on the atoms: Tau plus the single-step formulas over
 the depth-(d-1) inner set.  Inner sets are still closed under meets and
 guards, because guards inside a step do matter.  The closure keeps each
-formula as one joint evaluation vector, its degrees on the states of A
-followed by its degrees on the states of A'; that tuple is also the dedup
-key, so only the first formula reaching a vector is kept.  At most one
-guard is applied directly to any subformula (guard stacking collapses for
--> and is cut from the search space for <->).
+formula as one joint vector (its degrees on A's states, then A''s), which
+is also the dedup key: only the first formula reaching a vector is kept.
+At most one guard is applied directly to any subformula (guard stacking
+collapses for -> and is cut from the search space for <->).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .automata import FuzzyAutomaton, delta_rel
 from .errors import InputError
 from .fuzzyrel import FuzzyRelation, FuzzySet
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
-from .simrel import _converged_greatest, _parse_kind
+from .simrel import _back_step, _converged_greatest, _joint, _parse_kind, _readout
 
 DEFAULT_POOL_CAP = 64
 
@@ -182,30 +183,16 @@ def _closure(lat, seeds, pool, bidir: bool) -> dict:
     return items
 
 
-def _steps(lat, a, ap, reps, symbols) -> list:
-    """(vector, Step(s, formula)) for every (vector, formula) of reps and every symbol."""
-    n = len(a.states)
-    out = []
-    for vec, formula in reps:
-        sub_a, sub_ap = dict(zip(a.states, vec[:n])), dict(zip(ap.states, vec[n:]))
-        for s in symbols:
-            out.append((tuple(_apply_step(lat, a, s, sub_a).values())
-                        + tuple(_apply_step(lat, ap, s, sub_ap).values()), Step(s, formula)))
-    return out
-
-
 def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
     """Tau plus the step formulas over the depth-(d-1) inner set: the atoms
     whose readouts realize the bounded infimum, as (vector, formula) items."""
-    symbols = sorted(set(a.alphabet) | set(ap.alphabet))
-    tau = (tuple(a.tau.degree(x) for x in a.states)
-           + tuple(ap.tau.degree(x) for x in ap.states), TAU)
-    if depth == 0:
-        return [tau]
-    reps = _closure(lat, [tau], pool, bidir)
-    for _ in range(depth - 1):
-        reps = _closure(lat, [tau] + _steps(lat, a, ap, reps.items(), symbols), pool, bidir)
-    return [tau] + _steps(lat, a, ap, reps.items(), symbols)
+    tau, steps = _joint(a, ap)
+    atoms = [(tau, TAU)]
+    for _ in range(depth):
+        reps = _closure(lat, atoms, pool, bidir)
+        atoms = [(tau, TAU)] + [(_back_step(lat, edges, vec), Step(s, formula))
+                                for vec, formula in reps.items() for s, edges in steps]
+    return atoms
 
 
 def _readout_atoms(lat, a, ap, depth, fragment, pool_cap) -> tuple:
@@ -224,19 +211,9 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
     """Per-pair infimum of formula readouts over the fragment, truncated at
     the given step-depth.  Antitone in depth; always above the true degree."""
     op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
-    out: dict = {}
-    for i, x in enumerate(a.states):
-        for j, xp in enumerate(ap.states, len(a.states)):
-            v = ONE
-            for vec, _formula in atoms:
-                r = op(vec[i], vec[j])
-                if r < v:
-                    v = r
-                    if v == ZERO:
-                        break
-            if v != ZERO:
-                out[(x, xp)] = v
-    return FuzzyRelation(out)
+    vectors = [vec for vec, _formula in atoms]
+    return FuzzyRelation({(x, xp): _readout(op, vectors, i, j) for i, x in enumerate(a.states)
+                          for j, xp in enumerate(ap.states, len(a.states))})
 
 
 def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,

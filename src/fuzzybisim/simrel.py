@@ -73,16 +73,14 @@ from .automata import FuzzyAutomaton, delta_rel, max_live_word_length, UNBOUNDED
 from .errors import InputError, NonConvergenceError
 from .fuzzyrel import (
     FuzzyRelation,
-    compose_rel_set,
     compose_set_rel,
-    compose_set_set,
     converse,
     relation_json_array,
     relation_from_obj,
     subsethood,
 )
-# unused here, but the benchmark's tracer wraps both by name on this module
-from .fuzzyrel import compose_rel_rel, pointwise_leq  # noqa: F401
+# unused here, but the benchmark's tracer wraps these by name on this module
+from .fuzzyrel import compose_rel_rel, compose_rel_set, compose_set_set, pointwise_leq  # noqa: F401
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, meet, parse_degree
 
 DEFAULT_MAX_ITERS = 10000
@@ -160,7 +158,8 @@ def _dr(aut: FuzzyAutomaton, s: str) -> FuzzyRelation:
     return delta_rel(aut, s) if s in aut.alphabet else _EMPTY_REL
 
 
-def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> None:
+def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> FuzzyRelation:
+    """phi, unless it names a state that A or A' lacks."""
     states_a = set(a.states)
     states_ap = set(ap.states)
     for (x, xp) in phi.support():
@@ -168,6 +167,7 @@ def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> 
             raise InputError(f"relation references unknown state {x!r} of automaton {a.name!r}")
         if xp not in states_ap:
             raise InputError(f"relation references unknown state {xp!r} of automaton {ap.name!r}")
+    return phi
 
 
 # ---------------------------------------------------------------- checks
@@ -454,6 +454,41 @@ def max_approx_lambda(lat: ResiduatedLattice, a: FuzzyAutomaton,
     return _converged_greatest(lat, a, ap, _parse_kind(kind), max_iters).norm
 
 
+# ---------------------------------------------------------------- joint back vectors
+
+def _joint(a: FuzzyAutomaton, ap: FuzzyAutomaton) -> tuple:
+    """A and A' over joint indices, A's states first, then A''s: the tau vector
+    and, per union-alphabet symbol s, (s, its transitions (x, y, degree)) in both."""
+    n = len(a.states)
+    sides = ((a, {x: i for i, x in enumerate(a.states)}),
+             (ap, {x: n + i for i, x in enumerate(ap.states)}))
+    tau = tuple(aut.tau.degree(x) for aut, _pos in sides for x in aut.states)
+    return tau, [(s, [(pos[x], pos[y], d)
+                      for aut, pos in sides for (x, y), d in _dr(aut, s).items()])
+                 for s in _union_symbols(a, ap)]
+
+
+def _back_step(lat, edges, vec: tuple, size=None) -> tuple:
+    """delta_s o vec on both automata at once: entry x is the sup over the
+    edges (x, y, d) of d (x) vec[y]; size entries, by default len(vec)."""
+    out = [ZERO] * (len(vec) if size is None else size)
+    for x, y, d in edges:
+        v = lat.tnorm(d, vec[y])
+        if v > out[x]:
+            out[x] = v
+    return tuple(out)
+
+
+def _readout(op, vectors, i: int, j: int) -> Fraction:
+    """inf over the vectors of op(v[i], v[j]), stopping at 0."""
+    bound = ONE
+    for vec in vectors:
+        bound = min(bound, op(vec[i], vec[j]))
+        if not bound:
+            break
+    return bound
+
+
 # ---------------------------------------------------------------- preservation
 
 def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
@@ -466,6 +501,10 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     place of S and the bisimulation norm.  The infima are truncated to
     words of length <= k; exact is True when both automata certify that no
     longer word is live from an initial state or a state in phi's support.
+
+    The infima run over the distinct joint back vectors of those words, found
+    breadth-first: finitely many on godel and lukasiewicz, so a large k is
+    cheap; on product their number still grows roughly like |alphabet|^k.
     """
     if k < 0:
         raise InputError("word length bound must be >= 0")
@@ -473,34 +512,23 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     bidir = _parse_kind(kind)
     op = lat.biresiduum if bidir else lat.residuum
 
-    # back vectors v(x) = degree of w from x, for A and A', of every word w of
-    # length <= k: the vector of s.w is delta_s o (the vector of w)
-    symbols = _union_symbols(a, ap)
-    level = [(a.tau, ap.tau)]
-    vectors = list(level)
-    for _ in range(k):
-        level = [(compose_rel_set(lat, _dr(a, s), va), compose_rel_set(lat, _dr(ap, s), vap))
-                 for s in symbols for va, vap in level]
-        vectors += level
+    # the vector of s.w is delta_s o (the vector of w); a vector seen before
+    # sets the same bounds, and its extensions repeat vectors already seen
+    tau, steps = _joint(a, ap)
+    seen, level, length = {tau}, [tau], 0
+    while level and length < k:
+        level = {_back_step(lat, e, v) for v in level for _s, e in steps} - seen
+        seen |= level
+        length += 1
 
-    pointwise_ok = True
-    for (x, xp), d in phi.items():
-        bound = ONE
-        for va, vap in vectors:
-            r = op(va.degree(x), vap.degree(xp))
-            if r < bound:
-                bound = r
-        if d > bound:
-            pointwise_ok = False
-            break
-
-    global_degree = ONE
-    for va, vap in vectors:
-        r = op(compose_set_set(lat, a.sigma, va), compose_set_set(lat, ap.sigma, vap))
-        if r < global_degree:
-            global_degree = r
-    normval = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi)
-    global_ok = normval <= global_degree
+    index, n = a.states.index, len(a.states)
+    pointwise_ok = all(d <= _readout(op, seen, index(x), n + ap.states.index(xp))
+                       for (x, xp), d in phi.items())
+    # sigma o v and sigma' o v: one step from a virtual initial state of each
+    init = ([(0, index(x), d) for x, d in a.sigma.items()]
+            + [(1, n + ap.states.index(xp), d) for xp, d in ap.sigma.items()])
+    global_degree = _readout(op, (_back_step(lat, init, v, 2) for v in seen), 0, 1)
+    global_ok = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi) <= global_degree
 
     live_a = max_live_word_length(a, a.sigma.support() | {x for x, _xp in phi.support()})
     live_ap = max_live_word_length(ap, ap.sigma.support() | {xp for _x, xp in phi.support()})

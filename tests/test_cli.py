@@ -105,6 +105,16 @@ def test_malformed_inputs_are_bad_input(capsys, tmp_path, command, cls):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["check-sim"], ["norm", "--kind", "sim"],
+                                  ["verify-preservation", "--max-len", "2"]])
+def test_relation_with_unknown_state_names_its_file(capsys, tmp_path, argv):
+    rel = tmp_path / "rel.json"
+    rel.write_text('[{"from": "zz", "to": "u\'", "degree": "1/2"}]')
+    code, out, err = run(capsys, argv[0], A, AP, "--relation", str(rel), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {rel}: relation references unknown state 'zz'")
+
+
 def test_check_sim(capsys, sim_relation_file):
     code, out, _ = run(capsys, "check-sim", A, AP, "--relation", sim_relation_file)
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -519,3 +520,23 @@ def test_exact_report_does_not_change_with_longer_words(lat):
                 if report.exact:
                     assert verify_preservation(lat, a, ap, phi, k + 3, kind=kind) == report
     assert exact_seen == {True, False}
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ], ids=lambda lat: lat.kind)
+def test_preservation_saturates_on_finite_lattices(lat):
+    # godel and lukasiewicz back vectors take finitely many values, so a word
+    # bound past the last new vector changes nothing and costs nothing more
+    for seed in range(8):
+        pool = _MIXED if seed % 2 else ("1/4", "1/2", "3/4", "1")
+        a = random_automaton("A", 2 + seed % 3, ["a", "b"], pool, 6000 + seed, density=0.5)
+        ap = random_automaton("B", 2 + (seed // 2) % 3, ["a", "b"], pool, 7000 + seed,
+                              density=0.5)
+        relations = [random_relation(a.states, ap.states, pool, 8000 + seed).relation,
+                     greatest_fuzzy_simulation(lat, a, ap).relation,
+                     greatest_fuzzy_bisimulation(lat, a, ap).relation]
+        for phi in relations:
+            for kind in ("sim", "bisim"):
+                start = time.perf_counter()
+                report = verify_preservation(lat, a, ap, phi, 10**6, kind=kind)
+                assert time.perf_counter() - start < 1
+                assert report == verify_preservation(lat, a, ap, phi, 64, kind=kind)
