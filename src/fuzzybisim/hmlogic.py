@@ -25,15 +25,23 @@ therefore realized on the atoms: Tau plus the single-step formulas over
 the depth-(d-1) inner set.  Inner sets are still closed under meets and
 guards, because guards inside a step do matter.  The closure keeps each
 formula as one joint vector (its degrees on A's states, then A''s), which
-is also the dedup key: only the first formula reaching a vector is kept.
-At most one guard is applied directly to any subformula (guard stacking
-collapses for -> and is cut from the search space for <->).
+is also the dedup key: only the first formula reaching a vector is kept,
+and a formula is built only for a new vector.  At most one guard is applied
+directly to any subformula (guard stacking collapses for -> and is cut from
+the search space for <->).
+
+The vectors hold the refinement kernel's integer codes (simrel._codec:
+Godel ranks, Lukasiewicz numerators over the lcm, product Fractions) for a
+degree set that also holds the guard constants; it is closed under the
+t-norm, residuum, min and max, so every step, guard and meet stays exact on
+codes, and only the atoms handed out are decoded.  The closure meets each
+unordered pair of vectors once (see _closure).
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -157,42 +165,60 @@ def _apply_step(lat, aut, s, sub: dict) -> dict:
     return out
 
 
-def _closure(lat, seeds, pool, bidir: bool) -> dict:
-    """Close the seed (vector, formula) items under guards and pairwise meets.
-    Returns the joint vectors, in order of discovery, each with its first formula."""
+def _closure(codec, seeds, pool, bidir: bool) -> dict:
+    """Close the seed (vector, formula) items, on codec's codes, under guards by
+    the pool constants and pairwise meets.  Returns the joint vectors, in order
+    of discovery, each with its first formula.
+
+    Items are met in FIFO order, each with the items known once its guards are
+    in.  That set only grows, so the earlier items that already met item i
+    when they were popped form a run just before i; i skips them and itself,
+    whose meets would only rebuild vectors already present."""
     guard_cls = Iff if bidir else Implies
-    guard_op = lat.biresiduum if bidir else lat.residuum
+    guard_op = codec.op(bidir)
+    guards = [(c, codec.encode(c)) for c in pool]
     items: dict = {}
-    queue = deque()
-
-    def add(vec, formula):
-        if vec not in items:
-            items[vec] = formula
-            queue.append(vec)
-
     for vec, formula in seeds:
-        add(vec, formula)
-    while queue:
-        vec = queue.popleft()
+        items.setdefault(vec, formula)
+    vecs = list(items)                 # the keys of items, indexable
+    met = []                           # met[u]: how many items u met when popped
+    first = 0                          # items before first already met the current one
+    i = 0
+    while i < len(vecs):
+        vec = vecs[i]
         formula = items[vec]
         if not isinstance(formula, (Implies, Iff)):
-            for c in pool:
-                add(tuple(guard_op(c, d) for d in vec), guard_cls(c, formula))
-        for vec2, formula2 in list(items.items()):
-            add(tuple(map(min, vec, vec2)), And(formula2, formula))
+            for c, code in guards:
+                guarded = tuple([guard_op(code, d) for d in vec])
+                if guarded not in items:
+                    items[guarded] = guard_cls(c, formula)
+                    vecs.append(guarded)
+        met.append(len(vecs))
+        while met[first] <= i:
+            first += 1
+        for u in itertools.chain(range(first), range(i + 1, met[i])):
+            other = vecs[u]
+            # the pointwise min; calling min per entry costs about twice as much
+            meet = tuple([p if p < q else q for p, q in zip(vec, other)])
+            if meet not in items:
+                items[meet] = And(items[other], formula)
+                vecs.append(meet)
+        i += 1
     return items
 
 
 def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
     """Tau plus the step formulas over the depth-(d-1) inner set: the atoms
-    whose readouts realize the bounded infimum, as (vector, formula) items."""
-    tau, steps = _joint(a, ap)
+    whose readouts realize the bounded infimum, as (vector, formula) items.
+    The closure and steps run on codes; the atoms are decoded."""
+    codec, tau, steps = _joint(lat, a, ap, pool)
     atoms = [(tau, TAU)]
     for _ in range(depth):
-        reps = _closure(lat, atoms, pool, bidir)
-        atoms = [(tau, TAU)] + [(_back_step(lat, edges, vec), Step(s, formula))
+        reps = _closure(codec, atoms, pool, bidir)
+        atoms = [(tau, TAU)] + [(_back_step(codec, edges, vec), Step(s, formula))
                                 for vec, formula in reps.items() for s, edges in steps]
-    return atoms
+    decode = codec.decode
+    return [(tuple(map(decode, vec)), formula) for vec, formula in atoms]
 
 
 def _readout_atoms(lat, a, ap, depth, fragment, pool_cap) -> tuple:
@@ -212,7 +238,7 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
     the given step-depth.  Antitone in depth; always above the true degree."""
     op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
     vectors = [vec for vec, _formula in atoms]
-    return FuzzyRelation({(x, xp): _readout(op, vectors, i, j) for i, x in enumerate(a.states)
+    return FuzzyRelation({(x, xp): _readout(op, ONE, vectors, i, j) for i, x in enumerate(a.states)
                           for j, xp in enumerate(ap.states, len(a.states))})
 
 

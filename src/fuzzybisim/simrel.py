@@ -68,6 +68,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .automata import FuzzyAutomaton, delta_rel, max_live_word_length, UNBOUNDED
 from .errors import InputError, NonConvergenceError
@@ -218,25 +219,42 @@ def bisim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
 # ---------------------------------------------------------------- fixpoint
 
-def _codec(lat: ResiduatedLattice, degrees: list) -> tuple:
-    """(encode, decode, tnorm, residuum) over the codes of lat for a pair
-    whose delta, delta', tau and tau' degrees (and a checked relation's)
-    are listed, repeats included."""
+class _Codec(NamedTuple):
+    """The codes of one lattice for a set of degrees: encode and decode, the
+    t-norm and residuum on codes, and the codes of 0 (the only falsy code)
+    and of 1."""
+
+    encode: Callable
+    decode: Callable
+    tnorm: Callable
+    residuum: Callable
+    zero: object
+    top: object
+
+    def op(self, bidir: bool) -> Callable:
+        """The readout on codes: the residuum, or for bisimulations the biresiduum."""
+        res = self.residuum
+        return (lambda p, q: min(res(p, q), res(q, p))) if bidir else res
+
+
+def _codec(lat: ResiduatedLattice, degrees: list) -> _Codec:
+    """The codec of lat for a pair whose delta, delta', tau and tau' degrees
+    (and a checked relation's, or guard constants) are listed, repeats included."""
     if lat.kind == "godel":
         # keyed by (numerator, denominator): hashing a Fraction costs far more
         ratios = {d.as_integer_ratio() for d in degrees} | {(0, 1), (1, 1)}
         values = sorted(Fraction(*r) for r in ratios)
         rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
         top = len(values) - 1
-        return (lambda v: rank[v.as_integer_ratio()], values.__getitem__, min,
-                lambda p, q: top if p <= q else q)
+        return _Codec(lambda v: rank[v.as_integer_ratio()], values.__getitem__, min,
+                      lambda p, q: top if p <= q else q, 0, top)
     if lat.kind == "lukasiewicz":
         den = math.lcm(*{d.denominator for d in degrees})
-        return (lambda v: v.numerator * (den // v.denominator),
-                lambda k: Fraction(k, den),
-                lambda p, q: p + q - den if p + q > den else 0,
-                lambda p, q: den if p <= q else den - p + q)
-    return (lambda v: v), (lambda v: v), lat.tnorm, lat.residuum
+        return _Codec(lambda v: v.numerator * (den // v.denominator),
+                      lambda k: Fraction(k, den),
+                      lambda p, q: p + q - den if p + q > den else 0,
+                      lambda p, q: den if p <= q else den - p + q, 0, den)
+    return _Codec(lambda v: v, lambda v: v, lat.tnorm, lat.residuum, ZERO, ONE)
 
 
 class _Kernel:
@@ -257,15 +275,15 @@ class _Kernel:
         rels = [(_dr(a, s).items(), _dr(ap, s).items()) for s in _union_symbols(a, ap)]
         degrees = [d for rel, rel_p in rels for _key, d in rel + rel_p]
         degrees += [d for _key, d in a.tau.items() + ap.tau.items() + phi.items()]
-        encode, self.decode, self.tnorm, self.residuum = _codec(lat, degrees)
-        self.zero, self.top = encode(ZERO), encode(ONE)
+        codec = _codec(lat, degrees)
+        encode, self.decode, self.tnorm, self.residuum, self.zero, self.top = codec
         # per symbol: the coded transitions as (from, to, code) and grouped by source
         self.edges = [[(pos[x], pos[y], encode(d)) for (x, y), d in rel] for rel, _ in rels]
         self.edges_p = [[(pos_p[x], pos_p[y], encode(d)) for (x, y), d in rel_p]
                         for _, rel_p in rels]
         self.succ = [_by_src(e, len(pos)) for e in self.edges]
         self.succ_p = [_by_src(e, len(pos_p)) for e in self.edges_p]
-        res, m = self.residuum, len(pos_p)
+        op, m = codec.op(bidir), len(pos_p)
         tau = [encode(a.tau.degree(x)) for x in a.states]
         tau_p = [encode(ap.tau.degree(xp)) for xp in ap.states]
         self.phi = [self.zero] * (len(pos) * m)
@@ -274,8 +292,7 @@ class _Kernel:
         # refine reads phi_0 on its argument's support only, and a check refines phi
         self.phi0 = [self.zero] * len(self.phi)
         for i in ([i for i, v in enumerate(self.phi) if v] if phi else range(len(self.phi))):
-            p, q = tau[i // m], tau_p[i % m]
-            self.phi0[i] = min(res(p, q), res(q, p)) if bidir else res(p, q)
+            self.phi0[i] = op(tau[i // m], tau_p[i % m])
 
     def _compose(self, edges, groups, rows: int, cols: int) -> list:
         """sup over (x, y, d) in edges and (z, e) in groups[y] of d (x) e, at x * cols + z."""
@@ -456,32 +473,38 @@ def max_approx_lambda(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
 # ---------------------------------------------------------------- joint back vectors
 
-def _joint(a: FuzzyAutomaton, ap: FuzzyAutomaton) -> tuple:
-    """A and A' over joint indices, A's states first, then A''s: the tau vector
-    and, per union-alphabet symbol s, (s, its transitions (x, y, degree)) in both."""
+def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra: list) -> tuple:
+    """A and A' over joint indices, A's states first, then A''s, on codes:
+    (codec, the tau vector, per union-alphabet symbol s the pair (s, its
+    transitions (x, y, code)) in both).  The codec also covers the extra
+    degrees, so the vectors stay on codes under guards by them."""
     n = len(a.states)
     sides = ((a, {x: i for i, x in enumerate(a.states)}),
              (ap, {x: n + i for i, x in enumerate(ap.states)}))
-    tau = tuple(aut.tau.degree(x) for aut, _pos in sides for x in aut.states)
-    return tau, [(s, [(pos[x], pos[y], d)
-                      for aut, pos in sides for (x, y), d in _dr(aut, s).items()])
-                 for s in _union_symbols(a, ap)]
+    steps = [(s, [(pos[x], pos[y], d) for aut, pos in sides for (x, y), d in _dr(aut, s).items()])
+             for s in _union_symbols(a, ap)]
+    tau = [aut.tau.degree(x) for aut, _pos in sides for x in aut.states]
+    codec = _codec(lat, tau + [d for _s, edges in steps for _x, _y, d in edges] + extra)
+    encode = codec.encode
+    return (codec, tuple(map(encode, tau)),
+            [(s, [(x, y, encode(d)) for x, y, d in edges]) for s, edges in steps])
 
 
-def _back_step(lat, edges, vec: tuple, size=None) -> tuple:
-    """delta_s o vec on both automata at once: entry x is the sup over the
-    edges (x, y, d) of d (x) vec[y]; size entries, by default len(vec)."""
-    out = [ZERO] * (len(vec) if size is None else size)
+def _back_step(codec: _Codec, edges, vec: tuple, size=None) -> tuple:
+    """delta_s o vec on both automata at once, on codes: entry x is the sup over
+    the edges (x, y, d) of d (x) vec[y]; size entries, by default len(vec)."""
+    out = [codec.zero] * (len(vec) if size is None else size)
+    tnorm = codec.tnorm
     for x, y, d in edges:
-        v = lat.tnorm(d, vec[y])
+        v = tnorm(d, vec[y])
         if v > out[x]:
             out[x] = v
     return tuple(out)
 
 
-def _readout(op, vectors, i: int, j: int) -> Fraction:
-    """inf over the vectors of op(v[i], v[j]), stopping at 0."""
-    bound = ONE
+def _readout(op, top, vectors, i: int, j: int):
+    """inf over the vectors of op(v[i], v[j]), starting at top and stopping at 0."""
+    bound = top
     for vec in vectors:
         bound = min(bound, op(vec[i], vec[j]))
         if not bound:
@@ -510,24 +533,26 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
         raise InputError("word length bound must be >= 0")
     _validate_rel(phi, a, ap)
     bidir = _parse_kind(kind)
-    op = lat.biresiduum if bidir else lat.residuum
 
     # the vector of s.w is delta_s o (the vector of w); a vector seen before
     # sets the same bounds, and its extensions repeat vectors already seen
-    tau, steps = _joint(a, ap)
+    degrees = [d for _key, d in phi.items() + a.sigma.items() + ap.sigma.items()]
+    codec, tau, steps = _joint(lat, a, ap, degrees)
     seen, level, length = {tau}, [tau], 0
     while level and length < k:
-        level = {_back_step(lat, e, v) for v in level for _s, e in steps} - seen
+        level = {_back_step(codec, e, v) for v in level for _s, e in steps} - seen
         seen |= level
         length += 1
 
+    op, top, decode = codec.op(bidir), codec.top, codec.decode
     index, n = a.states.index, len(a.states)
-    pointwise_ok = all(d <= _readout(op, seen, index(x), n + ap.states.index(xp))
+    pointwise_ok = all(d <= decode(_readout(op, top, seen, index(x), n + ap.states.index(xp)))
                        for (x, xp), d in phi.items())
     # sigma o v and sigma' o v: one step from a virtual initial state of each
-    init = ([(0, index(x), d) for x, d in a.sigma.items()]
-            + [(1, n + ap.states.index(xp), d) for xp, d in ap.sigma.items()])
-    global_degree = _readout(op, (_back_step(lat, init, v, 2) for v in seen), 0, 1)
+    init = ([(0, index(x), codec.encode(d)) for x, d in a.sigma.items()]
+            + [(1, n + ap.states.index(xp), codec.encode(d)) for xp, d in ap.sigma.items()])
+    initial = (_back_step(codec, init, v, 2) for v in seen)
+    global_degree = decode(_readout(op, top, initial, 0, 1))
     global_ok = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi) <= global_degree
 
     live_a = max_live_word_length(a, a.sigma.support() | {x for x, _xp in phi.support()})

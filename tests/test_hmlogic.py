@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -30,8 +31,10 @@ from fuzzybisim import (
     refinement_steps,
 )
 from fuzzybisim.errors import InputError, NonConvergenceError
-from fuzzybisim.hmlogic import _eval_map, _top_atoms
+from fuzzybisim.fuzzyrel import relation_json_array
+from fuzzybisim.hmlogic import _closure, _eval_map, _top_atoms
 from fuzzybisim.oracle import random_automaton
+from fuzzybisim.simrel import _joint
 
 
 def test_reference_readouts(aut_a, aut_ap):
@@ -150,6 +153,56 @@ def test_every_atom_vector_is_its_formula_evaluated(lat, bidir):
                 ea = _eval_map(lat, a, formula, strict=False)
                 eb = _eval_map(lat, ap, formula, strict=False)
                 assert vec == tuple(ea.values()) + tuple(eb.values())
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+@pytest.mark.parametrize("bidir", [False, True], ids=["sim", "bisim"])
+def test_closure_is_closed_under_meets_and_guards(lat, bidir):
+    # the closures a depth 0-2 query runs, on the depth-(d-1) atoms; each
+    # unordered pair is met once, so a wrong skip rule would leave a pairwise
+    # meet or a guard of a returned vector out
+    guard_cls = Iff if bidir else Implies
+    for depth in (1,) if lat is PRODUCT and bidir else (1, 2):
+        for cap in (2, 64):
+            for seed in range(3):
+                a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 40 + seed)
+                ap = random_automaton("B", 3 - seed % 3, ["a", "b"], ("1/3", "1"), 140 + seed)
+                pool = constant_pool(lat, a, ap, depth, cap)
+                codec, _tau, _steps = _joint(lat, a, ap, pool)
+                seeds = [(tuple(map(codec.encode, vec)), formula)
+                         for vec, formula in _top_atoms(lat, a, ap, depth - 1, bidir, pool)]
+                items = _closure(codec, seeds, pool, bidir)
+                vecs = list(items)
+                found = set(vecs)
+                assert len(found) == len(vecs)
+                assert {vec for vec, _formula in seeds} <= found
+                for i, u in enumerate(vecs):
+                    assert all(tuple(map(min, u, v)) in found for v in vecs[i + 1:])
+                op = codec.op(bidir)
+                for vec, formula in items.items():
+                    if not isinstance(formula, guard_cls):
+                        for c in map(codec.encode, pool):
+                            assert tuple(op(c, d) for d in vec) in found
+
+
+def test_former_timeout_pair_is_decided():
+    # the explore benchmark's gen-90000 hm-degree job, built like
+    # bench/workloads.build_pair; it took about 10 s before the closure ran
+    # on codes and met each pair once
+    a = random_automaton("A", 4, ("a", "b"), ("1/2", "1"), 90000, density=0.4)
+    ap = random_automaton("B", 4, ("a", "b"), ("1/2", "1"), 90000 + 1_000_003, density=0.4)
+
+    def overrun(_signum, _frame):
+        raise TimeoutError("hm_degree_bounded ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(10)
+    try:
+        relation = hm_degree_bounded(GOEDEL, a, ap, 2, "bisim")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert relation_json_array(relation) == []
 
 
 def test_enumeration_respects_fragment(aut_a, aut_ap):
