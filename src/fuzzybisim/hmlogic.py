@@ -35,7 +35,8 @@ Godel ranks, Lukasiewicz numerators over the lcm, product Fractions) for a
 degree set that also holds the guard constants; it is closed under the
 t-norm, residuum, min and max, so every step, guard and meet stays exact on
 codes, and only the atoms handed out are decoded.  The closure meets each
-unordered pair of vectors once (see _closure).
+unordered pair of vectors once (see _closure), and holds a vector of
+integer codes as one int whose & is the pointwise min (see _packing).
 """
 
 from __future__ import annotations
@@ -165,6 +166,31 @@ def _apply_step(lat, aut, s, sub: dict) -> dict:
     return out
 
 
+# widest thermometer field _packing uses: past it a packed vector takes
+# more memory than its tuple of codes
+_PACK_TOP = 256
+
+
+def _packing(codec, size: int) -> tuple:
+    """(pack, unpack, meet) for the closure's vectors of size codes.
+
+    Integer codes 0..top (Godel ranks, Lukasiewicz numerators) pack into one
+    int of thermometer fields, top bits per entry with the low r bits set for
+    code r, so the pointwise min of two vectors is the & of their packings.
+    Other codes (product Fractions, fields past _PACK_TOP) stay tuples.
+    meet(vec) is vec's meet with its argument."""
+    top = codec.top
+    if isinstance(top, int) and top <= _PACK_TOP:
+        shifts = range(0, top * size, top)
+        field = (1 << top) - 1
+        return (lambda vec: sum([((1 << r) - 1) << s for r, s in zip(vec, shifts)]),
+                lambda key: tuple([(key >> s & field).bit_length() for s in shifts]),
+                lambda key: key.__and__)
+    # the pointwise min; calling min per entry costs about twice as much
+    return (tuple, tuple,
+            lambda vec: lambda other: tuple([p if p < q else q for p, q in zip(vec, other)]))
+
+
 def _closure(codec, seeds, pool, bidir: bool) -> dict:
     """Close the seed (vector, formula) items, on codec's codes, under guards by
     the pool constants and pairwise meets.  Returns the joint vectors, in order
@@ -173,52 +199,65 @@ def _closure(codec, seeds, pool, bidir: bool) -> dict:
     Items are met in FIFO order, each with the items known once its guards are
     in.  That set only grows, so the earlier items that already met item i
     when they were popped form a run just before i; i skips them and itself,
-    whose meets would only rebuild vectors already present."""
+    whose meets would only rebuild vectors already present.  The vectors are
+    held packed (see _packing) while the closure runs."""
     guard_cls = Iff if bidir else Implies
     guard_op = codec.op(bidir)
     guards = [(c, codec.encode(c)) for c in pool]
     items: dict = {}
+    pack, unpack, meet_with = _packing(codec, len(seeds[0][0]))
     for vec, formula in seeds:
-        items.setdefault(vec, formula)
+        items.setdefault(pack(vec), formula)
     vecs = list(items)                 # the keys of items, indexable
     met = []                           # met[u]: how many items u met when popped
     first = 0                          # items before first already met the current one
     i = 0
     while i < len(vecs):
-        vec = vecs[i]
-        formula = items[vec]
+        key = vecs[i]
+        formula = items[key]
         if not isinstance(formula, (Implies, Iff)):
+            codes = unpack(key)
             for c, code in guards:
-                guarded = tuple([guard_op(code, d) for d in vec])
+                guarded = pack([guard_op(code, d) for d in codes])
                 if guarded not in items:
                     items[guarded] = guard_cls(c, formula)
                     vecs.append(guarded)
         met.append(len(vecs))
         while met[first] <= i:
             first += 1
-        for u in itertools.chain(range(first), range(i + 1, met[i])):
-            other = vecs[u]
-            # the pointwise min; calling min per entry costs about twice as much
-            meet = tuple([p if p < q else q for p, q in zip(vec, other)])
-            if meet not in items:
-                items[meet] = And(items[other], formula)
-                vecs.append(meet)
+        meet = meet_with(key)
+        for other in itertools.chain(itertools.islice(vecs, first),
+                                     itertools.islice(vecs, i + 1, met[i])):
+            joint = meet(other)
+            if joint not in items:
+                items[joint] = And(items[other], formula)
+                vecs.append(joint)
         i += 1
-    return items
+    return {unpack(key): formula for key, formula in items.items()}
 
 
 def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
     """Tau plus the step formulas over the depth-(d-1) inner set: the atoms
     whose readouts realize the bounded infimum, as (vector, formula) items.
-    The closure and steps run on codes; the atoms are decoded."""
+    The closure and steps run on codes; the atoms are decoded.  Steps of
+    distinct vectors often agree, so each distinct vector is kept once."""
     codec, tau, steps = _joint(lat, a, ap, pool)
     atoms = [(tau, TAU)]
     for _ in range(depth):
         reps = _closure(codec, atoms, pool, bidir)
-        atoms = [(tau, TAU)] + [(_back_step(codec, edges, vec), Step(s, formula))
-                                for vec, formula in reps.items() for s, edges in steps]
+        atoms, shared = [(tau, TAU)], {}
+        for vec, formula in reps.items():
+            for s, edges in steps:
+                back = _back_step(codec, edges, vec)
+                atoms.append((shared.setdefault(back, back), Step(s, formula)))
+    # decoded in place, so the coded and the decoded atoms are never both held
     decode = codec.decode
-    return [(tuple(map(decode, vec)), formula) for vec, formula in atoms]
+    decoded = dict.fromkeys(vec for vec, _formula in atoms)
+    for vec in decoded:
+        decoded[vec] = tuple(map(decode, vec))
+    for k, (vec, formula) in enumerate(atoms):
+        atoms[k] = decoded[vec], formula
+    return atoms
 
 
 def _readout_atoms(lat, a, ap, depth, fragment, pool_cap) -> tuple:

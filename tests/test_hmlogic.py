@@ -32,6 +32,7 @@ from fuzzybisim import (
 )
 from fuzzybisim.errors import InputError, NonConvergenceError
 from fuzzybisim.fuzzyrel import relation_json_array
+from fuzzybisim import hmlogic
 from fuzzybisim.hmlogic import _closure, _eval_map, _top_atoms
 from fuzzybisim.oracle import random_automaton
 from fuzzybisim.simrel import _joint
@@ -183,6 +184,25 @@ def test_closure_is_closed_under_meets_and_guards(lat, bidir):
                     if not isinstance(formula, guard_cls):
                         for c in map(codec.encode, pool):
                             assert tuple(op(c, d) for d in vec) in found
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ], ids=lambda lat: lat.kind)
+@pytest.mark.parametrize("bidir", [False, True], ids=["sim", "bisim"])
+def test_packed_closure_matches_tuple_closure(lat, bidir, monkeypatch):
+    # integer codes run packed into thermometer ints; with packing off (as
+    # for codes wider than _PACK_TOP) the same vectors, order and formulas result
+    for depth in (1, 2):
+        for seed in (1, 2):  # seed 0 at depth 2 closes to 7787 Lukasiewicz vectors
+            a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 60 + seed)
+            ap = random_automaton("B", 3 - seed % 3, ["a", "b"], ("1/3", "1"), 160 + seed)
+            pool = constant_pool(lat, a, ap, depth, 64 if lat is GOEDEL else 2)
+            codec, _tau, _steps = _joint(lat, a, ap, pool)
+            seeds = [(tuple(map(codec.encode, vec)), formula)
+                     for vec, formula in _top_atoms(lat, a, ap, depth - 1, bidir, pool)]
+            packed = list(_closure(codec, seeds, pool, bidir).items())
+            monkeypatch.setattr(hmlogic, "_PACK_TOP", 0)
+            assert list(_closure(codec, seeds, pool, bidir).items()) == packed
+            monkeypatch.undo()
 
 
 def test_former_timeout_pair_is_decided():
