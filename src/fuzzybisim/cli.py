@@ -42,14 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--lattice", choices=_KINDS, default="godel",
                         help="truth structure to compute in (default: godel)")
-    common.add_argument("--max-iters", type=int, default=None, metavar="N",
-                        help="iteration cap for fixpoint sweeps")
     common.add_argument("--output", choices=("json", "text"), default="json",
                         help="output format (default: json)")
     one = argparse.ArgumentParser(add_help=False, parents=[common])
     one.add_argument("automaton")
     pair = argparse.ArgumentParser(add_help=False, parents=[one])
     pair.add_argument("automaton_prime")
+    capped = argparse.ArgumentParser(add_help=False, parents=[pair])
+    capped.add_argument("--max-iters", type=int, default=None, metavar="N",
+                        help="iteration cap for fixpoint sweeps")
 
     parser = argparse.ArgumentParser(
         prog="fuzzybisim",
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "conditions (godel lattice only)")
 
     for cmd, bidir in (("greatest-sim", False), ("greatest-bisim", True)):
-        p = sub.add_parser(cmd, parents=[pair],
+        p = sub.add_parser(cmd, parents=[capped],
                            help=f"compute the greatest fuzzy {_KIND_NAMES[bidir]}")
         p.set_defaults(run=_cmd_greatest, bidir=bidir)
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.set_defaults(run=_cmd_eval_formula)
 
-    p = sub.add_parser("max-lambda", parents=[pair],
+    p = sub.add_parser("max-lambda", parents=[capped],
                        help="largest lambda admitting a lambda-relaxed relation "
                             "of the chosen kind (godel lattice only)")
     p.add_argument("--kind", choices=("sim", "bisim"), required=True)

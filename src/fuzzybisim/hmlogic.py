@@ -240,16 +240,24 @@ def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
     """Tau plus the step formulas over the depth-(d-1) inner set: the atoms
     whose readouts realize the bounded infimum, as (vector, formula) items.
     The closure and steps run on codes; the atoms are decoded.  Steps of
-    distinct vectors often agree, so each distinct vector is kept once."""
+    distinct vectors often agree, so each distinct vector is kept once.
+    A round reads only the distinct vectors of the atoms before it, in order
+    (atoms are never guards), so once that list repeats, the rounds cycle:
+    the loop stops at depth's place in the cycle, with shallower formulas."""
     codec, tau, steps = _joint(lat, a, ap, pool)
-    atoms = [(tau, TAU)]
-    for _ in range(depth):
+    atoms, shared, seen, rounds = [(tau, TAU)], {}, {(tau,): 0}, 0
+    while rounds < depth:
         reps = _closure(codec, atoms, pool, bidir)
-        atoms, shared = [(tau, TAU)], {}
+        atoms = [(tau, TAU)]
         for vec, formula in reps.items():
             for s, edges in steps:
                 back = _back_step(codec, edges, vec)
                 atoms.append((shared.setdefault(back, back), Step(s, formula)))
+        rounds += 1
+        key = tuple(dict.fromkeys(vec for vec, _formula in atoms))
+        if key in seen:
+            depth = rounds + (depth - rounds) % (rounds - seen[key])
+        seen[key] = rounds
     # decoded in place, so the coded and the decoded atoms are never both held
     decode = codec.decode
     decoded = dict.fromkeys(vec for vec, _formula in atoms)
@@ -283,7 +291,8 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
 
 def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
                        depth: int, fragment, pool_cap: int = DEFAULT_POOL_CAP) -> list:
-    """The atom formulas whose readouts realize hm_degree_bounded."""
+    """The atom formulas whose readouts realize hm_degree_bounded.  Once the
+    rounds repeat, they may be shallower than depth (see _top_atoms)."""
     _op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
     return [formula for _vec, formula in atoms]
 
@@ -313,7 +322,8 @@ def distinguishing_formula(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyA
 
     Searches the enumerated atoms (sufficient: any formula achieving the
     target has an atom of its decomposition achieving it too) and never
-    returns a candidate without re-verifying it by direct evaluation.
+    returns a candidate without re-verifying it by direct evaluation.  Once
+    the rounds repeat, it may be shallower than depth (see _top_atoms).
     """
     if x not in a.states:
         raise InputError(f"unknown state {x!r} for automaton {a.name!r}")

@@ -34,6 +34,10 @@ iterates decrease, phi_0 /\\ G(phi_k) = phi_k /\\ G(phi_k), and F vanishes
 off phi_k's support.  `iterations` counts the sweeps, the last one
 included.  Exact arithmetic makes that test a plain equality.
 
+As phi is a bisimulation when phi and phi^-1 are simulations, a sweep
+reads phi as one relation on the joint states of A and A' (_joint), whose
+one composition with the joint transitions serves both (see _Kernel).
+
 The sweeps run on coded degrees, fixed once per (lattice, A, A').  A sweep
 applies only the t-norm, the residuum, min and max to the delta, delta',
 tau and tau' degrees and to values it made itself, so any set of degrees
@@ -151,14 +155,6 @@ def _parse_kind(kind) -> bool:
         raise InputError(f"unknown kind {kind!r}; expected sim or bisim") from None
 
 
-def _union_symbols(a: FuzzyAutomaton, ap: FuzzyAutomaton) -> list:
-    return sorted(set(a.alphabet) | set(ap.alphabet))
-
-
-def _dr(aut: FuzzyAutomaton, s: str) -> FuzzyRelation:
-    return delta_rel(aut, s) if s in aut.alphabet else _EMPTY_REL
-
-
 def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> FuzzyRelation:
     """phi, unless it names a state that A or A' lacks."""
     states_a = set(a.states)
@@ -257,87 +253,98 @@ def _codec(lat: ResiduatedLattice, degrees: list) -> _Codec:
     return _Codec(lambda v: v, lambda v: v, lat.tnorm, lat.residuum, ZERO, ONE)
 
 
+def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra: list) -> tuple:
+    """A and A' over joint indices, A's states first, then A''s, on codes:
+    (codec, the tau vector, per union-alphabet symbol s the pair (s, its
+    transitions (x, y, code)) in both).  The codec also covers the extra
+    degrees, so the vectors stay on codes under guards by them."""
+    n = len(a.states)
+    sides = ((a, {x: i for i, x in enumerate(a.states)}),
+             (ap, {x: n + i for i, x in enumerate(ap.states)}))
+    steps = [(s, [(pos[x], pos[y], d) for aut, pos in sides if s in aut.alphabet
+                  for (x, y), d in delta_rel(aut, s).items()])
+             for s in sorted(set(a.alphabet) | set(ap.alphabet))]
+    tau = [aut.tau.degree(x) for aut, _pos in sides for x in aut.states]
+    codec = _codec(lat, tau + [d for _s, edges in steps for _x, _y, d in edges] + extra)
+    encode = codec.encode
+    return (codec, tuple(map(encode, tau)),
+            [(s, [(x, y, encode(d)) for x, y, d in edges]) for s, edges in steps])
+
+
 class _Kernel:
     """The refinement operator F of one (lattice, A, A', kind), over codes.
 
     An iterate is a flat list of codes indexed by x * |A'| + x', with states
     numbered by their position; the code of 0 is the only falsy code.  The
     codes also cover the degrees of phi, which is coded as self.phi.
+
+    The transitions are _joint's: A's states are 0..n-1, A''s n..n+m-1.  A
+    sweep reads phi as a relation phi~ on joint states, phi(y, y') at
+    (n + y', y) and for bisimulations also at (y, n + y').  One composition
+    comp_s = delta_s o phi~ over the joint edges serves both constraints:
+
+        (delta'_s o phi^-1)(x', y) = comp_s(n + x', y)     forward
+        (delta_s o phi)(x, y')     = comp_s(x, n + y')     mirrored
+
+    Either is, in direction (p, q), the meet over s and the joint
+    transitions delta_s(p, v) of delta_s(p, v) -> comp_s(q, v).  A pair
+    (x, x') is checked in direction (x, n + x'), and for bisimulations in
+    (n + x', x) too.
     """
 
-    __slots__ = ("a", "ap", "bidir", "zero", "top", "decode", "tnorm", "residuum",
-                 "edges", "edges_p", "succ", "succ_p", "phi0", "phi")
+    __slots__ = ("a", "ap", "bidir", "codec", "edges", "succ", "phi0", "phi")
 
     def __init__(self, lat, a, ap, bidir: bool, phi: FuzzyRelation = _EMPTY_REL):
         self.a, self.ap, self.bidir = a, ap, bidir
-        pos = {x: i for i, x in enumerate(a.states)}
-        pos_p = {x: i for i, x in enumerate(ap.states)}
-        rels = [(_dr(a, s).items(), _dr(ap, s).items()) for s in _union_symbols(a, ap)]
-        degrees = [d for rel, rel_p in rels for _key, d in rel + rel_p]
-        degrees += [d for _key, d in a.tau.items() + ap.tau.items() + phi.items()]
-        codec = _codec(lat, degrees)
-        encode, self.decode, self.tnorm, self.residuum, self.zero, self.top = codec
-        # per symbol: the coded transitions as (from, to, code) and grouped by source
-        self.edges = [[(pos[x], pos[y], encode(d)) for (x, y), d in rel] for rel, _ in rels]
-        self.edges_p = [[(pos_p[x], pos_p[y], encode(d)) for (x, y), d in rel_p]
-                        for _, rel_p in rels]
-        self.succ = [_by_src(e, len(pos)) for e in self.edges]
-        self.succ_p = [_by_src(e, len(pos_p)) for e in self.edges_p]
-        op, m = codec.op(bidir), len(pos_p)
-        tau = [encode(a.tau.degree(x)) for x in a.states]
-        tau_p = [encode(ap.tau.degree(xp)) for xp in ap.states]
-        self.phi = [self.zero] * (len(pos) * m)
-        for (x, xp), d in phi.items():
-            self.phi[pos[x] * m + pos_p[xp]] = encode(d)
+        codec, tau, steps = _joint(lat, a, ap, [d for _key, d in phi.items()])
+        self.codec = codec
+        n, m = len(a.states), len(ap.states)
+        size = n + m
+        # every comp_s in one flat list, comp_s(u, w) at (s * size + u) * size + w:
+        # per symbol the edges as (offset of row u, v, code), and per joint
+        # state u its transitions as (offset of column v, code)
+        self.edges, self.succ = [], [[] for _ in range(size)]
+        for s, (_sym, edges) in enumerate(steps):
+            self.edges.append([((s * size + u) * size, v, d) for u, v, d in edges])
+            for u, v, d in edges:
+                self.succ[u].append((s * size * size + v, d))
+        op = codec.op(bidir)
+        self.phi = [codec.encode(phi.degree(x, xp)) for x in a.states for xp in ap.states]
         # refine reads phi_0 on its argument's support only, and a check refines phi
-        self.phi0 = [self.zero] * len(self.phi)
+        self.phi0 = [codec.zero] * len(self.phi)
         for i in ([i for i, v in enumerate(self.phi) if v] if phi else range(len(self.phi))):
-            self.phi0[i] = op(tau[i // m], tau_p[i % m])
-
-    def _compose(self, edges, groups, rows: int, cols: int) -> list:
-        """sup over (x, y, d) in edges and (z, e) in groups[y] of d (x) e, at x * cols + z."""
-        tnorm = self.tnorm
-        out = [self.zero] * (rows * cols)
-        for x, y, d in edges:
-            base = x * cols
-            for z, e in groups[y]:
-                v = tnorm(d, e)
-                if v > out[base + z]:
-                    out[base + z] = v
-        return out
+            self.phi0[i] = op(tau[i // m], tau[n + i % m])
 
     def refine(self, phi: list) -> list:
         """F(phi) = phi_0 /\\ G(phi) on phi's support, 0 elsewhere: one Jacobi
         sweep, every pair computed from phi alone."""
-        n, m, residuum = len(self.a.states), len(self.ap.states), self.residuum
+        n, m, bidir = len(self.a.states), len(self.ap.states), self.bidir
+        size, tnorm, residuum, zero = n + m, self.codec.tnorm, self.codec.residuum, self.codec.zero
         support = [i for i, v in enumerate(phi) if v]
-        by_second = [[] for _ in range(m)]      # y' -> [(y, phi(y, y'))]
-        by_first = [[] for _ in range(n)]       # y -> [(y', phi(y, y'))]
+        rows = [[] for _ in range(size)]        # v -> [(w, phi~(v, w))]
         for i in support:
             y, yp = divmod(i, m)
-            by_second[yp].append((y, phi[i]))
-            if self.bidir:
-                by_first[y].append((yp, phi[i]))
-        # (succ, mirrored, comp) per constraint: delta_s(x, y) ->
-        # (delta'_s o phi^-1)(x', y) with comp at x' * n + y, and for
-        # bisimulations delta'_s(x', y') -> (delta_s o phi)(x, y') with comp
-        # at x * m + y'
-        checks = []
-        for s, succ in enumerate(self.succ):
-            checks.append((succ, False, self._compose(self.edges_p[s], by_second, m, n)))
-            if self.bidir:
-                checks.append((self.succ_p[s], True, self._compose(self.edges[s], by_first, n, m)))
-        nxt = [self.zero] * (n * m)
-        phi0 = self.phi0
+            rows[n + yp].append((y, phi[i]))
+            if bidir:
+                rows[y].append((n + yp, phi[i]))
+        comp = [zero] * (len(self.edges) * size * size)
+        for edges in self.edges:
+            for base, v, d in edges:
+                for w, e in rows[v]:
+                    c = tnorm(d, e)
+                    if c > comp[base + w]:
+                        comp[base + w] = c
+        nxt = [zero] * (n * m)
+        phi0, succ = self.phi0, self.succ
         for i in support:
             x, xp = divmod(i, m)
             v = phi0[i]
-            for succ, mirrored, comp in checks:
+            for p, q in ((x, n + xp), (n + xp, x))[:1 + bidir]:
                 if not v:
                     break
-                src, base = (xp, x * m) if mirrored else (x, xp * n)
-                for y, d in succ[src]:
-                    r = residuum(d, comp[base + y])
+                base = q * size
+                for col, d in succ[p]:
+                    r = residuum(d, comp[base + col])
                     if r < v:
                         v = r
                         if not v:
@@ -347,8 +354,8 @@ class _Kernel:
 
     def condition_degree(self) -> Fraction:
         """S(phi, F(phi)) for self.phi, decoded; off its support every residuum is 1."""
-        pairs = zip(self.phi, self.refine(self.phi))
-        return self.decode(min((self.residuum(p, f) for p, f in pairs if p), default=self.top))
+        res, pairs = self.codec.residuum, zip(self.phi, self.refine(self.phi))
+        return self.codec.decode(min((res(p, f) for p, f in pairs if p), default=self.codec.top))
 
     def iterates(self):
         """phi_0, phi_1, ... up to and including the first repeated iterate."""
@@ -363,16 +370,9 @@ class _Kernel:
 
     def relation(self, phi: list) -> FuzzyRelation:
         """Decode an iterate."""
-        m, states, states_p = len(self.ap.states), self.a.states, self.ap.states
-        return FuzzyRelation({(states[i // m], states_p[i % m]): self.decode(v)
+        m, states, states_p, decode = len(self.ap.states), self.a.states, self.ap.states, self.codec.decode
+        return FuzzyRelation({(states[i // m], states_p[i % m]): decode(v)
                               for i, v in enumerate(phi) if v})
-
-
-def _by_src(edges, size: int) -> list:
-    out = [[] for _ in range(size)]
-    for x, y, d in edges:
-        out[x].append((y, d))
-    return out
 
 
 def refinement_steps(lat: ResiduatedLattice, a: FuzzyAutomaton,
@@ -472,23 +472,6 @@ def max_approx_lambda(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
 
 # ---------------------------------------------------------------- joint back vectors
-
-def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra: list) -> tuple:
-    """A and A' over joint indices, A's states first, then A''s, on codes:
-    (codec, the tau vector, per union-alphabet symbol s the pair (s, its
-    transitions (x, y, code)) in both).  The codec also covers the extra
-    degrees, so the vectors stay on codes under guards by them."""
-    n = len(a.states)
-    sides = ((a, {x: i for i, x in enumerate(a.states)}),
-             (ap, {x: n + i for i, x in enumerate(ap.states)}))
-    steps = [(s, [(pos[x], pos[y], d) for aut, pos in sides for (x, y), d in _dr(aut, s).items()])
-             for s in _union_symbols(a, ap)]
-    tau = [aut.tau.degree(x) for aut, _pos in sides for x in aut.states]
-    codec = _codec(lat, tau + [d for _s, edges in steps for _x, _y, d in edges] + extra)
-    encode = codec.encode
-    return (codec, tuple(map(encode, tau)),
-            [(s, [(x, y, encode(d)) for x, y, d in edges]) for s, edges in steps])
-
 
 def _back_step(codec: _Codec, edges, vec: tuple, size=None) -> tuple:
     """delta_s o vec on both automata at once, on codes: entry x is the sup over

@@ -155,6 +155,17 @@ def test_crisp_and_lambda_are_exclusive(sim_relation_file):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["hm-degree", A, AP, "--depth", "1", "--fragment", "sim"],
+    ["lang", A, "--word", "s"],
+    ["norm", A, AP, "--relation", A, "--kind", "sim"],
+], ids=lambda argv: argv[0])
+def test_max_iters_is_bad_input_where_no_fixpoint_runs(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--max-iters", "1"])
+    assert excinfo.value.code == 2
+
+
 def test_greatest_sim(capsys):
     code, out, _ = run(capsys, "greatest-sim", A, AP)
     assert code == 0

@@ -1,3 +1,4 @@
+import contextlib
 import signal
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from fuzzybisim.fuzzyrel import relation_json_array
 from fuzzybisim import hmlogic
 from fuzzybisim.hmlogic import _closure, _eval_map, _top_atoms
 from fuzzybisim.oracle import random_automaton
-from fuzzybisim.simrel import _joint
+from fuzzybisim.simrel import _back_step, _joint
 
 
 def test_reference_readouts(aut_a, aut_ap):
@@ -205,6 +206,20 @@ def test_packed_closure_matches_tuple_closure(lat, bidir, monkeypatch):
             monkeypatch.undo()
 
 
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def overrun(_signum, _frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_former_timeout_pair_is_decided():
     # the explore benchmark's gen-90000 hm-degree job, built like
     # bench/workloads.build_pair; it took about 10 s before the closure ran
@@ -212,17 +227,51 @@ def test_former_timeout_pair_is_decided():
     a = random_automaton("A", 4, ("a", "b"), ("1/2", "1"), 90000, density=0.4)
     ap = random_automaton("B", 4, ("a", "b"), ("1/2", "1"), 90000 + 1_000_003, density=0.4)
 
-    def overrun(_signum, _frame):
-        raise TimeoutError("hm_degree_bounded ran past 10 s")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    signal.alarm(10)
-    try:
+    with _time_limit(10):
         relation = hm_degree_bounded(GOEDEL, a, ap, 2, "bisim")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert relation_json_array(relation) == []
+
+
+def test_depth_past_saturation_costs_nothing(aut_a, aut_ap):
+    # the atoms stop changing within 10 rounds, so a million rounds are the
+    # same rounds; each one used to rerun the same closure
+    expected = hm_degree_bounded(LUKASIEWICZ, aut_a, aut_ap, 10, "bisim")
+    with _time_limit(10):
+        relation = hm_degree_bounded(LUKASIEWICZ, aut_a, aut_ap, 10 ** 6, "bisim")
+    assert relation == expected
+
+
+def _every_round(lat, a, ap, rounds, bidir, pool) -> list:
+    """The decoded atom vectors after 0..rounds rounds of _top_atoms' loop,
+    every round run."""
+    codec, tau, steps = _joint(lat, a, ap, pool)
+    atoms, out = [(tau, TAU)], []
+    for _ in range(rounds + 1):
+        out.append([tuple(map(codec.decode, vec)) for vec, _formula in atoms])
+        reps = _closure(codec, atoms, pool, bidir)
+        atoms = [(tau, TAU)] + [(_back_step(codec, edges, vec), Step(s, formula))
+                                for vec, formula in reps.items() for s, edges in steps]
+    return out
+
+
+@pytest.mark.parametrize("gen,n,bidir", [
+    (70058, 4, False),      # from round 10 on the rounds cycle with period 2
+    (70036, 3, True),       # from round 7 on the rounds cycle with period 6
+])
+def test_repeating_rounds_are_cut_exactly(gen, n, bidir):
+    # explore benchmark hm-mid pairs, built like bench/workloads.build_pair
+    a = random_automaton("A", n, ("a", "b"), ("1/2", "1"), gen, density=0.4)
+    ap = random_automaton("B", n, ("a", "b"), ("1/2", "1"), gen + 1_000_003, density=0.4)
+    pool = constant_pool(GOEDEL, a, ap, 10 ** 6)
+    rounds = _every_round(GOEDEL, a, ap, 21, bidir, pool)
+    for depth in range(22):
+        assert [vec for vec, _f in _top_atoms(GOEDEL, a, ap, depth, bidir, pool)] == rounds[depth]
+    for depth in (10 ** 6, 10 ** 6 + 1, 10 ** 6 + 3):
+        # both periods divide 6, and the rounds from 10 on are in the cycle
+        same = 21 - (21 - depth) % 6
+        with _time_limit(10):
+            atoms = _top_atoms(GOEDEL, a, ap, depth, bidir, pool)
+        assert [vec for vec, _f in atoms] == rounds[same]
 
 
 def test_enumeration_respects_fragment(aut_a, aut_ap):

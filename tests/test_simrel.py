@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -397,6 +398,47 @@ def test_greatest_matches_oracle(lat, a, ap):
         assert report.relation == shrink(lat, a, ap, everything)
         assert brute(lat, a, ap, report.relation)
         assert list(refinement_steps(lat, a, ap, kind=kind))[-1] == report.relation
+
+
+def _split_pair(seed):
+    """A seeded 2-state automaton A and a 4-state B: each state of A twice, each
+    transition kept towards at least one copy of its target, one degree moved.
+    B also reads c, on one copy that no transition enters.  Ordered 2x4 or
+    4x2 by the seed's parity."""
+    rng = random.Random(seed)
+    a = random_automaton("A", 2, ["a", "b"], ("1/2", "3/4", "1"), seed, density=0.6)
+    copies = {x: [x + "0", x + "1"] for x in a.states}
+    q, p = copies[a.states[seed % 2]]
+    delta = {(p, "c", q): "1/3"}
+    for (x, s, y), d in a.transitions():
+        for xc in copies[x]:
+            targets = [yc for yc in copies[y] if yc != p and rng.random() < 0.6] or [copies[y][0]]
+            delta.update(((xc, s, yc), d) for yc in targets)
+    key = rng.choice(sorted(k for k in delta if k[1] != "c"))
+    delta[key] = Fraction(1, 2) if delta[key] == 1 else delta[key] + Fraction(1, 4)
+
+    def lift(degrees):
+        return {xc: d for x, d in degrees.items() for xc in copies[x]}
+
+    b = FuzzyAutomaton("B", [xc for x in a.states for xc in copies[x]], ["a", "b", "c"],
+                       delta, lift(a.sigma), lift(a.tau))
+    return (a, b) if seed % 2 else (b, a)
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+def test_greatest_bisimulation_is_symmetric_under_swap(lat):
+    # swapping A and A' swaps the forward and the mirrored constraint, which
+    # the kernel reads off one composition over the joint states
+    supports = []
+    for seed in range(8):
+        a, ap = _split_pair(seed)
+        forward = greatest_fuzzy_bisimulation(lat, a, ap, max_iters=60)
+        swapped = greatest_fuzzy_bisimulation(lat, ap, a, max_iters=60)
+        assert swapped.relation == converse(forward.relation)
+        assert swapped.norm == forward.norm
+        assert (swapped.iterations, swapped.converged) == (forward.iterations, forward.converged)
+        supports.append(len(forward.relation))
+    assert any(supports)
 
 
 def _random_cases(lat, seeds):
