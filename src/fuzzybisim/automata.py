@@ -46,8 +46,9 @@ class FuzzyAutomaton:
 
         sigma = sigma if isinstance(sigma, FuzzySet) else FuzzySet(sigma)
         tau = tau if isinstance(tau, FuzzySet) else FuzzySet(tau)
+        # items() is sorted, so the state named does not vary between runs
         for label, fset in (("initial", sigma), ("terminal", tau)):
-            for x in fset.support():
+            for x, _d in fset.items():
                 if x not in state_set:
                     raise InputError(f"{label} entry for unknown state {x!r}")
 

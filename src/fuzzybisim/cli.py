@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -152,11 +153,15 @@ def _parse_word(text: str) -> tuple:
 
 
 def _emit(args, obj, text_lines) -> None:
-    if args.output == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        for line in text_lines:
+    try:
+        for line in [json.dumps(obj, indent=2)] if args.output == "json" else text_lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes to devnull, so the
+        # command ends quietly with its own exit code
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _emit_degree(args, degree) -> int:

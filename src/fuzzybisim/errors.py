@@ -12,9 +12,18 @@ class NonConvergenceError(RuntimeError):
 
 
 def decode_json(text: str, what: str):
-    """json.loads, with bad syntax, nesting past the recursion limit and
-    integers past the int/str digit limit raised as InputError."""
+    """json.loads, with bad syntax, repeated keys, nesting past the recursion
+    limit and integers past the int/str digit limit raised as InputError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed {what} JSON: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        key = next(key for key, _value in pairs if key in seen or seen.add(key))
+        raise InputError(f"repeated key {key!r}")
+    return obj

@@ -34,9 +34,17 @@ The vectors hold the refinement kernel's integer codes (simrel._codec:
 Godel ranks, Lukasiewicz numerators over the lcm, product Fractions) for a
 degree set that also holds the guard constants; it is closed under the
 t-norm, residuum, min and max, so every step, guard and meet stays exact on
-codes, and only the atoms handed out are decoded.  The closure meets each
+codes, and only the readouts are decoded.  The closure meets each
 unordered pair of vectors once (see _closure), and holds a vector of
 integer codes as one int whose & is the pointwise min (see _packing).
+
+Tested, not proved: hm_degree_bounded at depth d equals the d-th iterate of
+simrel.refinement_steps (or its last iterate when they stabilize earlier),
+the bounded form of the Hennessy-Milner theorem.  That holds for a full
+constant pool.  Past DEFAULT_POOL_CAP constants, constant_pool keeps the
+base degrees and then the smallest closure values; the readouts then stay
+above the greatest relation but may sit above iterate d, as guards are
+missing.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from typing import Union
 
 from .automata import FuzzyAutomaton, delta_rel
 from .errors import InputError
-from .fuzzyrel import FuzzyRelation, FuzzySet
+from .fuzzyrel import FuzzyRelation, FuzzySet, compose_rel_set
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 from .simrel import _back_step, _converged_greatest, _joint, _parse_kind, _readout
 
@@ -94,30 +102,28 @@ TAU = Tau()
 
 def eval_formula(lat: ResiduatedLattice, aut: FuzzyAutomaton, w: Formula) -> FuzzySet:
     """The fuzzy set of states satisfying w, computed bottom-up over all states."""
-    return FuzzySet(_eval_map(lat, aut, w, strict=True))
+    return _evaluate(lat, aut, w, strict=True)
 
 
-def _eval_map(lat, aut, w, strict: bool) -> dict:
-    # dense map over aut.states: guards turn absent-0 into nonzero degrees,
-    # so sparse evaluation would be wrong
+def _evaluate(lat, aut, w, strict: bool) -> FuzzySet:
+    """<s> w is delta_s o w; a step over a symbol aut lacks is bad input when
+    strict, the empty set otherwise.  Guards run over all of aut.states, as
+    they turn an absent 0 into a nonzero degree."""
     if isinstance(w, Tau):
-        return {x: aut.tau.degree(x) for x in aut.states}
+        return aut.tau
     if isinstance(w, Step):
-        if strict and w.symbol not in aut.alphabet:
-            raise InputError(f"formula steps over unknown symbol {w.symbol!r}")
-        return _apply_step(lat, aut, w.symbol, _eval_map(lat, aut, w.body, strict))
-    if isinstance(w, Implies):
-        c = parse_degree(w.constant)
-        sub = _eval_map(lat, aut, w.body, strict)
-        return {x: lat.residuum(c, sub[x]) for x in aut.states}
-    if isinstance(w, Iff):
-        c = parse_degree(w.constant)
-        sub = _eval_map(lat, aut, w.body, strict)
-        return {x: lat.biresiduum(c, sub[x]) for x in aut.states}
+        if w.symbol not in aut.alphabet:
+            if strict:
+                raise InputError(f"formula steps over unknown symbol {w.symbol!r}")
+            return FuzzySet()
+        return compose_rel_set(lat, delta_rel(aut, w.symbol), _evaluate(lat, aut, w.body, strict))
+    if isinstance(w, (Implies, Iff)):
+        op, c = lat.residuum if isinstance(w, Implies) else lat.biresiduum, parse_degree(w.constant)
+        sub = _evaluate(lat, aut, w.body, strict)
+        return FuzzySet({x: op(c, sub.degree(x)) for x in aut.states})
     if isinstance(w, And):
-        left = _eval_map(lat, aut, w.left, strict)
-        right = _eval_map(lat, aut, w.right, strict)
-        return {x: min(left[x], right[x]) for x in aut.states}
+        left, right = _evaluate(lat, aut, w.left, strict), _evaluate(lat, aut, w.right, strict)
+        return FuzzySet({x: min(d, right.degree(x)) for x, d in left.items()})
     raise InputError(f"not a formula node: {w!r}")
 
 
@@ -154,16 +160,6 @@ def constant_pool(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
             break
         pool = sorted(known | set(sorted(new)[:room]))
     return pool
-
-
-def _apply_step(lat, aut, s, sub: dict) -> dict:
-    out = {x: ZERO for x in aut.states}
-    if s in aut.alphabet:
-        for (x, y), d in delta_rel(aut, s).items():
-            v = lat.tnorm(d, sub[y])
-            if v > out[x]:
-                out[x] = v
-    return out
 
 
 # widest thermometer field _packing uses: past it a packed vector takes
@@ -236,15 +232,14 @@ def _closure(codec, seeds, pool, bidir: bool) -> dict:
     return {unpack(key): formula for key, formula in items.items()}
 
 
-def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
+def _top_atoms(codec, tau, steps, depth, bidir, pool) -> list:
     """Tau plus the step formulas over the depth-(d-1) inner set: the atoms
-    whose readouts realize the bounded infimum, as (vector, formula) items.
-    The closure and steps run on codes; the atoms are decoded.  Steps of
-    distinct vectors often agree, so each distinct vector is kept once.
+    whose readouts realize the bounded infimum, as (vector, formula) items,
+    on the codes of _joint's (codec, tau, steps).  Steps of distinct vectors
+    often agree, so each distinct vector is kept once.
     A round reads only the distinct vectors of the atoms before it, in order
     (atoms are never guards), so once that list repeats, the rounds cycle:
     the loop stops at depth's place in the cycle, with shallower formulas."""
-    codec, tau, steps = _joint(lat, a, ap, pool)
     atoms, shared, seen, rounds = [(tau, TAU)], {}, {(tau,): 0}, 0
     while rounds < depth:
         reps = _closure(codec, atoms, pool, bidir)
@@ -258,42 +253,36 @@ def _top_atoms(lat, a, ap, depth, bidir, pool) -> list:
         if key in seen:
             depth = rounds + (depth - rounds) % (rounds - seen[key])
         seen[key] = rounds
-    # decoded in place, so the coded and the decoded atoms are never both held
-    decode = codec.decode
-    decoded = dict.fromkeys(vec for vec, _formula in atoms)
-    for vec in decoded:
-        decoded[vec] = tuple(map(decode, vec))
-    for k, (vec, formula) in enumerate(atoms):
-        atoms[k] = decoded[vec], formula
     return atoms
 
 
-def _readout_atoms(lat, a, ap, depth, fragment, pool_cap) -> tuple:
-    """(readout op, atoms) of the fragment at the given depth: the residuum,
-    or the biresiduum for the bisimulation fragment, and the _top_atoms."""
+def _readout_atoms(lat, a, ap, depth, fragment) -> tuple:
+    """(codec, bidir, atoms) of the fragment at the given depth: the
+    _top_atoms over the constant_pool, on codec's codes."""
     if depth < 0:
         raise InputError("depth must be >= 0")
     bidir = _parse_kind(fragment)
-    pool = constant_pool(lat, a, ap, depth, pool_cap)
-    return (lat.biresiduum if bidir else lat.residuum,
-            _top_atoms(lat, a, ap, depth, bidir, pool))
+    pool = constant_pool(lat, a, ap, depth)
+    codec, tau, steps = _joint(lat, a, ap, pool)
+    return codec, bidir, _top_atoms(codec, tau, steps, depth, bidir, pool)
 
 
 def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
-                      depth: int, fragment, pool_cap: int = DEFAULT_POOL_CAP) -> FuzzyRelation:
+                      depth: int, fragment) -> FuzzyRelation:
     """Per-pair infimum of formula readouts over the fragment, truncated at
     the given step-depth.  Antitone in depth; always above the true degree."""
-    op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
-    vectors = [vec for vec, _formula in atoms]
-    return FuzzyRelation({(x, xp): _readout(op, ONE, vectors, i, j) for i, x in enumerate(a.states)
+    codec, bidir, atoms = _readout_atoms(lat, a, ap, depth, fragment)
+    op, decode, vectors = codec.op(bidir), codec.decode, [vec for vec, _formula in atoms]
+    return FuzzyRelation({(x, xp): decode(_readout(op, codec.top, vectors, i, j))
+                          for i, x in enumerate(a.states)
                           for j, xp in enumerate(ap.states, len(a.states))})
 
 
 def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
-                       depth: int, fragment, pool_cap: int = DEFAULT_POOL_CAP) -> list:
+                       depth: int, fragment) -> list:
     """The atom formulas whose readouts realize hm_degree_bounded.  Once the
     rounds repeat, they may be shallower than depth (see _top_atoms)."""
-    _op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
+    _codec, _bidir, atoms = _readout_atoms(lat, a, ap, depth, fragment)
     return [formula for _vec, formula in atoms]
 
 
@@ -304,20 +293,18 @@ class HMAgreementReport:
 
 
 def hm_agreement(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
-                 depth: int, fragment, max_iters=None,
-                 pool_cap: int = DEFAULT_POOL_CAP) -> HMAgreementReport:
+                 depth: int, fragment, max_iters=None) -> HMAgreementReport:
     """Compare the bounded formula infimum against the greatest fixpoint;
     NonConvergenceError if that does not stabilize within max_iters sweeps."""
     bidir = _parse_kind(fragment)
-    relation = hm_degree_bounded(lat, a, ap, depth, fragment, pool_cap)
+    relation = hm_degree_bounded(lat, a, ap, depth, fragment)
     report = _converged_greatest(lat, a, ap, bidir, max_iters)
     return HMAgreementReport(relation=relation,
                              matches_fixpoint=(relation == report.relation))
 
 
 def distinguishing_formula(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
-                           x: str, xp: str, target, depth: int, fragment,
-                           pool_cap: int = DEFAULT_POOL_CAP):
+                           x: str, xp: str, target, depth: int, fragment):
     """A fragment formula whose readout at (x, x') is <= target, or None.
 
     Searches the enumerated atoms (sufficient: any formula achieving the
@@ -331,13 +318,14 @@ def distinguishing_formula(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyA
         raise InputError(f"unknown state {xp!r} for automaton {ap.name!r}")
     # a bad depth is reported before a bad target, a bad target before a bad fragment
     target = target if depth < 0 else parse_degree(target)
-    op, atoms = _readout_atoms(lat, a, ap, depth, fragment, pool_cap)
+    codec, bidir, atoms = _readout_atoms(lat, a, ap, depth, fragment)
+    op, check = codec.op(bidir), lat.biresiduum if bidir else lat.residuum
     i, j = a.states.index(x), len(a.states) + ap.states.index(xp)
     for vec, formula in atoms:
-        if op(vec[i], vec[j]) <= target:
-            ea = _eval_map(lat, a, formula, strict=False)
-            eb = _eval_map(lat, ap, formula, strict=False)
-            if op(ea[x], eb[xp]) <= target:
+        if codec.decode(op(vec[i], vec[j])) <= target:
+            got = check(_evaluate(lat, a, formula, strict=False).degree(x),
+                        _evaluate(lat, ap, formula, strict=False).degree(xp))
+            if got <= target:
                 return formula
     return None
 

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -128,15 +127,9 @@ class PreservationReport:
 
 
 def resolve_max_iters(max_iters=None) -> int:
-    """Explicit argument, else FUZZYBISIM_MAX_ITERS, else the default cap."""
+    """The explicit cap, else the default one."""
     if max_iters is None:
-        env = os.environ.get("FUZZYBISIM_MAX_ITERS")
-        if env is None:
-            return DEFAULT_MAX_ITERS
-        try:
-            max_iters = int(env)
-        except ValueError:
-            raise InputError(f"FUZZYBISIM_MAX_ITERS must be an integer, got {env!r}") from None
+        return DEFAULT_MAX_ITERS
     if max_iters < 0:
         raise InputError("iteration cap must be >= 0")
     return max_iters
@@ -156,10 +149,10 @@ def _parse_kind(kind) -> bool:
 
 
 def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> FuzzyRelation:
-    """phi, unless it names a state that A or A' lacks."""
+    """phi, unless it names a state A or A' lacks (the first in sorted order)."""
     states_a = set(a.states)
     states_ap = set(ap.states)
-    for (x, xp) in phi.support():
+    for (x, xp), _d in phi.items():
         if x not in states_a:
             raise InputError(f"relation references unknown state {x!r} of automaton {a.name!r}")
         if xp not in states_ap:

@@ -279,16 +279,15 @@ def test_max_lambda(capsys):
     assert code == 3
 
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args, env_extra=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
-    env.pop("FUZZYBISIM_MAX_ITERS", None)
     # the child imports the package this process imported
     src = os.path.dirname(os.path.dirname(fuzzybisim.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "fuzzybisim", *args],
-                          capture_output=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
 def test_reruns_are_byte_identical():
@@ -299,11 +298,53 @@ def test_reruns_are_byte_identical():
     assert first.stdout  # sanity: non-empty
 
 
-def test_iteration_cap_env_var():
-    result = _run_cli(["greatest-sim", A, AP],
-                      env_extra={"FUZZYBISIM_MAX_ITERS": "1"})
-    assert result.returncode == 3
-    assert json.loads(result.stdout)["converged"] is False
-    result = _run_cli(["greatest-sim", A, AP],
-                      env_extra={"FUZZYBISIM_MAX_ITERS": "junk"})
-    assert result.returncode == 2
+# an empty PYTHONUNBUFFERED leaves stdout buffered
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,code", [
+    (["greatest-bisim", A, AP], 0),
+    (["greatest-sim", A, AP, "--max-iters", "0", "--output", "text"], 3),
+])
+def test_closed_stdout_ends_quietly(unbuffered, argv, code):
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_cli(argv, {"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (code, b"")
+
+
+_AUT = ('{"name": "A", "alphabet": ["s"], "states": ["u", "v"], "initial": %s, '
+        '"terminal": {}, "transitions": [%s]}')
+
+
+@pytest.mark.parametrize("aut,rel,key", [
+    (_AUT % ('{"u": "1", "u": "1/2"}', ""), "[]", "u"),
+    (_AUT % ("{}", '{"from": "u", "symbol": "s", "to": "v", "degree": "1", "degree": "1/2"}'),
+     "[]", "degree"),
+    (_AUT % ("{}", ""), '[{"from": "u", "to": "v", "degree": "1", "degree": "1/2"}]', "degree"),
+], ids=["initial", "transition", "relation"])
+def test_repeated_json_key_is_bad_input(capsys, tmp_path, aut, rel, key):
+    aut_file, rel_file = tmp_path / "a.json", tmp_path / "rel.json"
+    aut_file.write_text(aut)
+    rel_file.write_text(rel)
+    code, out, err = run(capsys, "check-sim", str(aut_file), str(aut_file),
+                         "--relation", str(rel_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"repeated key {key!r}" in err
+
+
+@pytest.mark.parametrize("kind", ["relation", "automaton"])
+def test_unknown_state_named_does_not_depend_on_hash_seed(tmp_path, kind):
+    # several unknown states: the first in sorted order is named, whatever
+    # order a set of their names iterates in
+    rel, aut = tmp_path / "rel.json", tmp_path / "a.json"
+    rel.write_text(json.dumps([{"from": x, "to": "u'", "degree": "1/2"} for x in ("zz", "yy", "xx")]))
+    aut.write_text(_AUT % ('{"r": "1", "q": "1", "p": "1"}', ""))
+    argv, name = {"relation": (["check-sim", A, AP, "--relation", str(rel)], "xx"),
+                  "automaton": (["lang", str(aut), "--word", ""], "p")}[kind]
+    for seed in ("0", "4"):     # the seeds put yy and zz first in a set of the three
+        result = _run_cli(argv, {"PYTHONHASHSEED": seed})
+        assert result.returncode == 2
+        assert f"unknown state {name!r}".encode() in result.stderr

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import signal
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from fuzzybisim import (
 from fuzzybisim.errors import InputError, NonConvergenceError
 from fuzzybisim.fuzzyrel import relation_json_array
 from fuzzybisim import hmlogic
-from fuzzybisim.hmlogic import _closure, _eval_map, _top_atoms
+from fuzzybisim.hmlogic import _closure, _evaluate, _top_atoms
 from fuzzybisim.oracle import random_automaton
 from fuzzybisim.simrel import _back_step, _joint
 
@@ -149,12 +150,14 @@ def test_every_atom_vector_is_its_formula_evaluated(lat, bidir):
             a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 90 + seed)
             ap = random_automaton("B", 3 - seed % 3, ["a"], ("1/3", "1"), 190 + seed)
             pool = constant_pool(lat, a, ap, depth, 64 if lat is GOEDEL else 2)
-            atoms = _top_atoms(lat, a, ap, depth, bidir, pool)
+            codec, tau, steps = _joint(lat, a, ap, pool)
+            atoms = _top_atoms(codec, tau, steps, depth, bidir, pool)
             assert isinstance(atoms, list)
             for vec, formula in atoms:
-                ea = _eval_map(lat, a, formula, strict=False)
-                eb = _eval_map(lat, ap, formula, strict=False)
-                assert vec == tuple(ea.values()) + tuple(eb.values())
+                ea = _evaluate(lat, a, formula, strict=False)
+                eb = _evaluate(lat, ap, formula, strict=False)
+                assert tuple(map(codec.decode, vec)) == (tuple(map(ea.degree, a.states))
+                                                         + tuple(map(eb.degree, ap.states)))
 
 
 @pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
@@ -170,9 +173,8 @@ def test_closure_is_closed_under_meets_and_guards(lat, bidir):
                 a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 40 + seed)
                 ap = random_automaton("B", 3 - seed % 3, ["a", "b"], ("1/3", "1"), 140 + seed)
                 pool = constant_pool(lat, a, ap, depth, cap)
-                codec, _tau, _steps = _joint(lat, a, ap, pool)
-                seeds = [(tuple(map(codec.encode, vec)), formula)
-                         for vec, formula in _top_atoms(lat, a, ap, depth - 1, bidir, pool)]
+                codec, tau, steps = _joint(lat, a, ap, pool)
+                seeds = _top_atoms(codec, tau, steps, depth - 1, bidir, pool)
                 items = _closure(codec, seeds, pool, bidir)
                 vecs = list(items)
                 found = set(vecs)
@@ -197,9 +199,8 @@ def test_packed_closure_matches_tuple_closure(lat, bidir, monkeypatch):
             a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 60 + seed)
             ap = random_automaton("B", 3 - seed % 3, ["a", "b"], ("1/3", "1"), 160 + seed)
             pool = constant_pool(lat, a, ap, depth, 64 if lat is GOEDEL else 2)
-            codec, _tau, _steps = _joint(lat, a, ap, pool)
-            seeds = [(tuple(map(codec.encode, vec)), formula)
-                     for vec, formula in _top_atoms(lat, a, ap, depth - 1, bidir, pool)]
+            codec, tau, steps = _joint(lat, a, ap, pool)
+            seeds = _top_atoms(codec, tau, steps, depth - 1, bidir, pool)
             packed = list(_closure(codec, seeds, pool, bidir).items())
             monkeypatch.setattr(hmlogic, "_PACK_TOP", 0)
             assert list(_closure(codec, seeds, pool, bidir).items()) == packed
@@ -242,12 +243,12 @@ def test_depth_past_saturation_costs_nothing(aut_a, aut_ap):
 
 
 def _every_round(lat, a, ap, rounds, bidir, pool) -> list:
-    """The decoded atom vectors after 0..rounds rounds of _top_atoms' loop,
-    every round run."""
+    """The atom vectors after 0..rounds rounds of _top_atoms' loop, every
+    round run."""
     codec, tau, steps = _joint(lat, a, ap, pool)
     atoms, out = [(tau, TAU)], []
     for _ in range(rounds + 1):
-        out.append([tuple(map(codec.decode, vec)) for vec, _formula in atoms])
+        out.append([vec for vec, _formula in atoms])
         reps = _closure(codec, atoms, pool, bidir)
         atoms = [(tau, TAU)] + [(_back_step(codec, edges, vec), Step(s, formula))
                                 for vec, formula in reps.items() for s, edges in steps]
@@ -264,13 +265,14 @@ def test_repeating_rounds_are_cut_exactly(gen, n, bidir):
     ap = random_automaton("B", n, ("a", "b"), ("1/2", "1"), gen + 1_000_003, density=0.4)
     pool = constant_pool(GOEDEL, a, ap, 10 ** 6)
     rounds = _every_round(GOEDEL, a, ap, 21, bidir, pool)
+    joint = _joint(GOEDEL, a, ap, pool)
     for depth in range(22):
-        assert [vec for vec, _f in _top_atoms(GOEDEL, a, ap, depth, bidir, pool)] == rounds[depth]
+        assert [vec for vec, _f in _top_atoms(*joint, depth, bidir, pool)] == rounds[depth]
     for depth in (10 ** 6, 10 ** 6 + 1, 10 ** 6 + 3):
         # both periods divide 6, and the rounds from 10 on are in the cycle
         same = 21 - (21 - depth) % 6
         with _time_limit(10):
-            atoms = _top_atoms(GOEDEL, a, ap, depth, bidir, pool)
+            atoms = _top_atoms(*joint, depth, bidir, pool)
         assert [vec for vec, _f in atoms] == rounds[same]
 
 
@@ -293,6 +295,26 @@ def test_depth_zero_matches_terminal_residua(aut_a, aut_ap):
     d0 = hm_degree_bounded(GOEDEL, aut_a, aut_ap, 0, "sim")
     first = next(refinement_steps(GOEDEL, aut_a, aut_ap, kind="sim"))
     assert d0 == first
+
+
+@pytest.mark.parametrize("lat,bidir,depths", [
+    (GOEDEL, False, 3), (GOEDEL, True, 3), (LUKASIEWICZ, False, 2), (LUKASIEWICZ, True, 2),
+    (PRODUCT, False, 2),
+    (PRODUCT, True, 1),     # the product bisimulation closure does not finish at depth 1
+], ids=lambda v: getattr(v, "kind", v))
+def test_bounded_degree_is_the_refinement_iterate(lat, bidir, depths):
+    # the claim hmlogic's docstring states as tested: depth d reads iterate d
+    # of the refinement sweep, or its last iterate once they stabilize
+    kind = ("sim", "bisim")[bidir]
+    for seed in range(25):
+        # degrees in quarters: Lukasiewicz bisimulation closures over twelfths
+        # take seconds per pair at depth 1
+        a = random_automaton("A", 2 + seed % 2, ("a", "b"), ("1/2", "1"), 500 + seed)
+        ap = random_automaton("B", 3 - seed % 2, ("a", "b"), ("1/4", "1/2", "1"), 600 + seed)
+        iterates = list(itertools.islice(refinement_steps(lat, a, ap, kind), depths))
+        for depth in range(depths):
+            expected = iterates[min(depth, len(iterates) - 1)]
+            assert hm_degree_bounded(lat, a, ap, depth, kind) == expected, (seed, depth)
 
 
 def test_depth_antitone(aut_a, aut_ap):
@@ -378,7 +400,12 @@ def test_validation_errors(aut_a, aut_ap):
         distinguishing_formula(GOEDEL, aut_a, aut_ap, "u", "z", ONE, 1, "sim")
 
 
-def test_small_pool_cap_is_still_sound(aut_a, aut_ap):
+def test_small_pool_cap_is_still_sound(aut_a, aut_ap, monkeypatch):
+    # a truncated pool lacks guards, so the readouts may sit higher, but
+    # never below the greatest simulation
     greatest = greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap).relation
-    bounded = hm_degree_bounded(GOEDEL, aut_a, aut_ap, 2, "sim", pool_cap=4)
+    pool = constant_pool(GOEDEL, aut_a, aut_ap, 2, cap=4)
+    assert len(pool) == 4
+    monkeypatch.setattr(hmlogic, "constant_pool", lambda *_args: pool)
+    bounded = hm_degree_bounded(GOEDEL, aut_a, aut_ap, 2, "sim")
     assert pointwise_leq(greatest, bounded)

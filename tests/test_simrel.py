@@ -212,19 +212,11 @@ def test_unconverged_report(aut_a, aut_ap):
     assert report.relation == GREATEST_SIM_GODEL
 
 
-def test_resolve_max_iters(monkeypatch):
-    monkeypatch.delenv("FUZZYBISIM_MAX_ITERS", raising=False)
+def test_resolve_max_iters():
     assert resolve_max_iters() == 10000
-    monkeypatch.setenv("FUZZYBISIM_MAX_ITERS", "3")
-    assert resolve_max_iters() == 3
     assert resolve_max_iters(7) == 7
-    monkeypatch.setenv("FUZZYBISIM_MAX_ITERS", "zero")
     with pytest.raises(InputError):
-        resolve_max_iters()
-    monkeypatch.setenv("FUZZYBISIM_MAX_ITERS", "-1")
-    with pytest.raises(InputError):
-        resolve_max_iters()
-    monkeypatch.delenv("FUZZYBISIM_MAX_ITERS")
+        resolve_max_iters(-1)
     # a zero cap is allowed: it means "run no sweeps"
     assert resolve_max_iters(0) == 0
 
