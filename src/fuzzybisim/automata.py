@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, decode_json
-from .fuzzyrel import FuzzyRelation, FuzzySet, compose_set_rel, compose_set_set
+from .fuzzyrel import FuzzyRelation, FuzzySet, compose_set_rel, compose_set_set, union
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 #: Returned by max_live_word_length when no finite certificate exists.
@@ -30,7 +30,7 @@ _FIELDS = ("name", "alphabet", "states", "initial", "terminal", "transitions")
 class FuzzyAutomaton:
     """Immutable fuzzy automaton over string-named states and symbols."""
 
-    __slots__ = ("name", "states", "alphabet", "sigma", "tau", "_delta", "_delta_rels")
+    __slots__ = ("name", "states", "alphabet", "sigma", "tau", "_delta_rels")
 
     def __init__(self, name: str, states: Iterable[str], alphabet: Iterable[str],
                  delta: Mapping, sigma, tau):
@@ -46,13 +46,13 @@ class FuzzyAutomaton:
 
         sigma = sigma if isinstance(sigma, FuzzySet) else FuzzySet(sigma)
         tau = tau if isinstance(tau, FuzzySet) else FuzzySet(tau)
-        # items() is sorted, so the state named does not vary between runs
+        # items() is in key order, so the state named does not vary between runs
         for label, fset in (("initial", sigma), ("terminal", tau)):
             for x, _d in fset.items():
                 if x not in state_set:
                     raise InputError(f"{label} entry for unknown state {x!r}")
 
-        cleaned: dict = {}
+        rels: dict = {s: {} for s in alphabet}
         pairs = delta.items() if isinstance(delta, Mapping) else delta
         for key, value in pairs:
             if not (isinstance(key, tuple) and len(key) == 3):
@@ -65,18 +65,14 @@ class FuzzyAutomaton:
             if s not in alphabet:
                 raise InputError(f"transition over unknown symbol {s!r}")
             degree = parse_degree(value)
-            if degree != ZERO:
-                cleaned[(x, s, y)] = degree
+            if degree:  # zeros are not stored, not even over an earlier repeat of the key
+                rels[s][(x, y)] = degree
 
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "_delta", cleaned)
-        rels: dict = {s: {} for s in alphabet}
-        for (x, s, y), d in cleaned.items():
-            rels[s][(x, y)] = d
         object.__setattr__(self, "_delta_rels",
                            {s: FuzzyRelation(m) for s, m in rels.items()})
 
@@ -84,12 +80,13 @@ class FuzzyAutomaton:
         raise AttributeError("FuzzyAutomaton is immutable")
 
     def delta_degree(self, x: str, s: str, y: str) -> Fraction:
-        """The stored degree of (x, s, y), 0 when absent. No validation: data access only."""
-        return self._delta.get((x, s, y), ZERO)
+        """The stored degree of (x, s, y), 0 when absent or when s is not in the alphabet."""
+        return self._delta_rels[s].degree(x, y) if s in self._delta_rels else ZERO
 
     def transitions(self) -> list:
         """All nonzero transitions as ((from, symbol, to), degree), sorted."""
-        return sorted(self._delta.items())
+        return sorted(((x, s, y), d) for s, rel in self._delta_rels.items()
+                      for (x, y), d in rel.items())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FuzzyAutomaton)
@@ -98,11 +95,11 @@ class FuzzyAutomaton:
                 and self.alphabet == other.alphabet
                 and self.sigma == other.sigma
                 and self.tau == other.tau
-                and self._delta == other._delta)
+                and self._delta_rels == other._delta_rels)
 
     def __repr__(self) -> str:
-        return (f"FuzzyAutomaton({self.name!r}, states={len(self.states)}, "
-                f"alphabet={list(self.alphabet)!r}, transitions={len(self._delta)})")
+        return (f"FuzzyAutomaton({self.name!r}, states={len(self.states)}, alphabet="
+                f"{list(self.alphabet)!r}, transitions={sum(map(len, self._delta_rels.values()))})")
 
 
 def delta_rel(aut: FuzzyAutomaton, s: str) -> FuzzyRelation:
@@ -154,7 +151,7 @@ def max_live_word_length(aut: FuzzyAutomaton, starts=None):
     """
     succs: dict = {x: set() for x in aut.states}
     preds: dict = {x: set() for x in aut.states}
-    for (x, _s, y) in aut._delta:
+    for (x, y), _d in union(aut._delta_rels.values()).items():
         succs[x].add(y)
         preds[y].add(x)
     try:
@@ -193,8 +190,7 @@ def automaton_from_obj(obj) -> FuzzyAutomaton:
         if not isinstance(seq, list) or not all(isinstance(v, str) for v in seq):
             raise InputError(f"{field} must be an array of strings")
     for field in ("initial", "terminal"):
-        mapping = obj[field]
-        if not isinstance(mapping, dict):
+        if not isinstance(obj[field], dict):
             raise InputError(f"{field} must be an object mapping states to degrees")
     transitions = obj["transitions"]
     if not isinstance(transitions, list):

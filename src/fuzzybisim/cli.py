@@ -153,13 +153,16 @@ def _parse_word(text: str) -> tuple:
 
 
 def _emit(args, obj, text_lines) -> None:
+    _print_lines([json.dumps(obj, indent=2)] if args.output == "json" else text_lines)
+
+
+def _print_lines(lines) -> None:
     try:
-        for line in [json.dumps(obj, indent=2)] if args.output == "json" else text_lines:
+        for line in lines:
             print(line)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader left: what is still buffered goes to devnull, so the
-        # command ends quietly with its own exit code
+        # the reader left: the rest goes to devnull and the command keeps its exit code
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
 
@@ -250,7 +253,10 @@ def _cmd_max_lambda(args, lat, a, ap) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    finally:
+        _print_lines(())  # argparse prints --help outside _emit: flush it under the same guard
     try:
         return args.run(args, by_name(args.lattice), *_load_inputs(args))
     except InputError as exc:

@@ -1,9 +1,9 @@
 """Finite-support fuzzy sets and fuzzy relations with their relational calculus.
 
-Both containers are sparse: only nonzero degrees are stored, and absent keys
-read as 0.  Dropping zeros on construction makes structural equality coincide
-with semantic equality, which is what lets fixpoint loops detect
-stabilization by a plain ``==``.
+Both containers are sparse and ordered: only nonzero degrees are stored, in
+key order fixed on construction, and absent keys read as 0.  Dropping zeros
+on construction makes structural equality coincide with semantic equality,
+which is what lets fixpoint loops detect stabilization by a plain ``==``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 
 class FuzzySet:
-    """Sparse map from element identifiers to nonzero degrees in [0, 1]."""
+    """Sparse map from sortable keys to nonzero degrees in [0, 1], stored in key order."""
 
     __slots__ = ("_entries",)
 
@@ -32,7 +32,7 @@ class FuzzySet:
         return set(self._entries)
 
     def items(self) -> list:
-        return sorted(self._entries.items())
+        return list(self._entries.items())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,13 +63,13 @@ class FuzzyRelation(FuzzySet):
 
 
 def _nonzero(pairs) -> dict:
-    """The (key, degree) pairs whose parsed degree is not 0, as a dict."""
+    """The (key, degree) pairs whose parsed degree is not 0, as a dict in key order."""
     cleaned = {}
     for key, value in pairs:
         degree = parse_degree(value)
         if degree:  # cheaper than comparing the Fraction with ZERO
             cleaned[key] = degree
-    return cleaned
+    return dict(sorted(cleaned.items()))
 
 
 def _checked_pairs(pairs):
@@ -99,7 +99,7 @@ def subsethood(lat: ResiduatedLattice, f, g) -> Fraction:
 def equality(lat: ResiduatedLattice, f, g) -> Fraction:
     """Degree to which f and g are equal: the meet of f(x) <-> g(x)."""
     out = ONE
-    for key in sorted(f.support() | g.support()):
+    for key in f.support() | g.support():
         r = lat.biresiduum(f._entries.get(key, ZERO), g._entries.get(key, ZERO))
         if r < out:
             out = r

@@ -26,8 +26,6 @@ from typing import Iterable
 
 from .errors import InputError
 
-LatticeValue = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -72,7 +70,7 @@ def parse_degree(value) -> Fraction:
             raise InputError(f"not a rational literal: {value!r}") from exc
     else:
         raise InputError(f"not a rational literal: {value!r}")
-    if degree < ZERO or degree > ONE:
+    if not 0 <= degree.numerator <= degree.denominator:
         raise InputError(f"degree {value!r} outside [0, 1]")
     return degree
 

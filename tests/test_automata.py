@@ -41,12 +41,21 @@ def test_construction_and_accessors():
     assert aut.states == ("p", "q")
     assert aut.alphabet == ("a",)
     assert aut.delta_degree("p", "a", "q") == Fraction(1, 2)
-    assert aut.delta_degree("p", "b", "q") == ZERO
+    assert aut.delta_degree("p", "b", "q") == ZERO  # b is outside the alphabet
     assert delta_rel(aut, "a").degree("p", "q") == Fraction(1, 2)
     with pytest.raises(InputError):
         delta_rel(aut, "b")
     with pytest.raises(AttributeError):
         aut.name = "N"
+    # transitions given out of order over two symbols come back sorted by
+    # (from, symbol, to), and the order they were given in does not matter
+    given = [(("q", "b", "p"), "1/3"), (("q", "a", "q"), "1/4"),
+             (("p", "b", "q"), "1/5"), (("p", "a", "q"), "1/2")]
+    two = small(alphabet=["b", "a"], delta=given)
+    assert two.transitions() == sorted((key, Fraction(d)) for key, d in given)
+    assert two == small(alphabet=["b", "a"], delta=given[::-1])
+    assert two.delta_degree("q", "c", "p") == ZERO
+    assert repr(two) == "FuzzyAutomaton('M', states=2, alphabet=['b', 'a'], transitions=4)"
 
 
 def test_zero_transitions_dropped():
@@ -64,6 +73,7 @@ def test_zero_transitions_dropped():
     dict(sigma={"z": "1"}),
     dict(tau={"z": "1"}),
     dict(delta={("p", "a", "q"): "1.5"}),
+    dict(delta={("p", "q"): "0.5"}),
 ])
 def test_construction_rejects(overrides):
     with pytest.raises(InputError):
@@ -144,6 +154,9 @@ def test_serialization_is_canonical(aut_a):
     lambda o: o["transitions"][0].pop("degree"),
     lambda o: o["transitions"][0].update(degree=0.5),
     lambda o: o["transitions"][0].update(junk=1),
+    lambda o: o.update(transitions={}),
+    lambda o: o["transitions"].append(["u", "s", "v", "1"]),
+    lambda o: o["transitions"][0].update(symbol=1),
 ])
 def test_automaton_from_obj_rejects(aut_a, mutate):
     obj = automaton_to_obj(aut_a)

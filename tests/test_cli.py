@@ -303,6 +303,8 @@ def test_reruns_are_byte_identical():
 @pytest.mark.parametrize("argv,code", [
     (["greatest-bisim", A, AP], 0),
     (["greatest-sim", A, AP, "--max-iters", "0", "--output", "text"], 3),
+    (["--help"], 0),
+    (["greatest-sim", "--help"], 0),
 ])
 def test_closed_stdout_ends_quietly(unbuffered, argv, code):
     # the read end is closed before the child starts, so every write fails

@@ -54,6 +54,9 @@ def test_fuzzy_set_basics():
     assert bool(f)
     assert not bool(FuzzySet())
     assert f == FuzzySet({"c": "1", "a": "1/2"})
+    # entries come back in key order, whatever order they were given in
+    assert FuzzySet({"c": "1", "b": "1/3", "a": "1/2"}).items() == [
+        ("a", Fraction(1, 2)), ("b", Fraction(1, 3)), ("c", ONE)]
 
 
 def test_fuzzy_relation_basics():
@@ -218,6 +221,7 @@ def test_relation_serialization_round_trip():
     '[{"from": 1, "to": "b", "degree": "1/2"}]',
     '[{"from": "a", "to": "b", "degree": 0.5}]',
     "not json",
+    '["entry"]',
 ])
 def test_parse_relation_rejects(text):
     with pytest.raises(InputError):

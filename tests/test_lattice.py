@@ -92,7 +92,8 @@ def test_parse_degree():
     assert parse_degree(Fraction(1, 3)) == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", [1.5, "1.5", "-1/2", "7/0", "abc", True, None, "", "3/5/7"])
+@pytest.mark.parametrize("bad", [1.5, "1.5", "-1/2", "7/0", "abc", True, None, "", "3/5/7",
+                                 Fraction(3, 2), Fraction(-1, 2), 2, -1])
 def test_parse_degree_rejects(bad):
     with pytest.raises(InputError):
         parse_degree(bad)
