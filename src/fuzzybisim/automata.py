@@ -33,7 +33,9 @@ class FuzzyAutomaton:
     __slots__ = ("name", "states", "alphabet", "sigma", "tau", "_delta_rels")
 
     def __init__(self, name: str, states: Iterable[str], alphabet: Iterable[str],
-                 delta: Mapping, sigma, tau):
+                 delta: Mapping, sigma, tau, *, _parsed: bool = False):
+        """Checks its input and stores it; every degree goes through parse_degree
+        once.  automaton_from_obj has parsed delta's degrees and passes _parsed=True."""
         states = tuple(states)
         alphabet = tuple(alphabet)
         if not states:
@@ -64,7 +66,7 @@ class FuzzyAutomaton:
                 raise InputError(f"transition to unknown state {y!r}")
             if s not in alphabet:
                 raise InputError(f"transition over unknown symbol {s!r}")
-            degree = parse_degree(value)
+            degree = value if _parsed else parse_degree(value)
             if degree:  # zeros are not stored, not even over an earlier repeat of the key
                 rels[s][(x, y)] = degree
 
@@ -74,7 +76,7 @@ class FuzzyAutomaton:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "_delta_rels",
-                           {s: FuzzyRelation(m) for s, m in rels.items()})
+                           {s: FuzzyRelation._from_parsed(m) for s, m in rels.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("FuzzyAutomaton is immutable")
@@ -215,8 +217,9 @@ def automaton_from_obj(obj) -> FuzzyAutomaton:
         states=obj["states"],
         alphabet=obj["alphabet"],
         delta=delta,
-        sigma={x: parse_degree(d) for x, d in obj["initial"].items()},
-        tau={x: parse_degree(d) for x, d in obj["terminal"].items()},
+        sigma=FuzzySet(obj["initial"]),
+        tau=FuzzySet(obj["terminal"]),
+        _parsed=True,
     )
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from .automata import lang_degree, parse_automaton
 from .errors import InputError, NonConvergenceError
 from .fuzzyrel import parse_relation, relation_json_array
-from .hmlogic import eval_formula, hm_degree_bounded, parse_formula
 from .lattice import _KINDS, by_name, format_degree, parse_degree
 from .simrel import (
     _KIND_NAMES,
@@ -37,6 +36,24 @@ from .simrel import (
     sim_norm,
     verify_preservation,
 )
+
+# hmlogic's entry points, loaded only by the two formula commands
+_HM_NAMES = ("eval_formula", "hm_degree_bounded", "parse_formula")
+
+
+def _load_hmlogic() -> None:
+    """Bind _HM_NAMES as module globals; a name already bound is kept, so a
+    wrapper installed over it (bench/spans.py wraps them by name) stays."""
+    from . import hmlogic
+    for name in _HM_NAMES:
+        globals().setdefault(name, getattr(hmlogic, name))
+
+
+def __getattr__(name: str):
+    if name not in _HM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_hmlogic()
+    return globals()[name]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,6 +249,7 @@ def _cmd_verify_preservation(args, lat, a, ap, phi) -> int:
 
 
 def _cmd_hm_degree(args, lat, a, ap) -> int:
+    _load_hmlogic()
     rel = hm_degree_bounded(lat, a, ap, args.depth, args.fragment)
     obj = relation_json_array(rel)
     lines = [f"{x} {xp} {format_degree(d)}" for (x, xp), d in rel.items()]
@@ -240,6 +258,7 @@ def _cmd_hm_degree(args, lat, a, ap) -> int:
 
 
 def _cmd_eval_formula(args, lat, aut) -> int:
+    _load_hmlogic()
     formula = parse_formula(args.formula)
     values = eval_formula(lat, aut, formula)
     obj = {x: format_degree(values.degree(x)) for x in aut.states}

@@ -25,6 +25,14 @@ class FuzzySet:
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         self._entries = _nonzero(pairs)
 
+    @classmethod
+    def _from_parsed(cls, degrees: Mapping):
+        """Build from degrees that parse_degree has returned already, without
+        checking them again; zeros are dropped and keys sorted as usual."""
+        fset = cls.__new__(cls)
+        fset._entries = dict(sorted(item for item in degrees.items() if item[1]))
+        return fset
+
     def degree(self, x) -> Fraction:
         return self._entries.get(x, ZERO)
 
@@ -226,7 +234,7 @@ def relation_from_obj(obj) -> FuzzyRelation:
         if (x, y) in entries:
             raise InputError(f"duplicate relation entry for ({x!r}, {y!r})")
         entries[(x, y)] = parse_degree(item["degree"])
-    return FuzzyRelation(entries)
+    return FuzzyRelation._from_parsed(entries)
 
 
 def parse_relation(text: str) -> FuzzyRelation:

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -92,8 +91,7 @@ DEFAULT_MAX_ITERS = 10000
 _EMPTY_REL = FuzzyRelation()
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Result of a greatest-relation computation.
 
     When converged is True the relation is exactly a fixpoint of the
@@ -111,8 +109,7 @@ class SimReport:
     converged: bool
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(NamedTuple):
     """Bounded-word verification of the language preservation bounds.
 
     exact is True when the word bound provably covers every live word of

@@ -20,7 +20,10 @@ from fuzzybisim import (
     serialize_automaton,
     words_up_to,
 )
+from fuzzybisim import automata, fuzzyrel
 from fuzzybisim.errors import InputError
+from fuzzybisim.lattice import parse_degree
+from fuzzybisim.oracle import random_automaton
 
 
 def small(**overrides):
@@ -163,6 +166,20 @@ def test_automaton_from_obj_rejects(aut_a, mutate):
     mutate(obj)
     with pytest.raises(InputError):
         automaton_from_obj(obj)
+
+
+def test_parse_automaton_parses_each_degree_once(monkeypatch):
+    aut = random_automaton("A", 24, ["a", "b", "c"], [f"{i}/10" for i in range(11)], 1)
+    text = serialize_automaton(aut)
+    calls = []
+    for module in (automata, fuzzyrel):
+        monkeypatch.setattr(module, "parse_degree", lambda v: calls.append(v) or parse_degree(v))
+    assert parse_automaton(text) == aut
+    obj = json.loads(text)
+    degrees = [t["degree"] for t in obj["transitions"]]
+    degrees += [*obj["initial"].values(), *obj["terminal"].values()]
+    assert len(degrees) == 629             # 612 transitions; the 0 draws are not written
+    assert sorted(calls) == sorted(degrees)     # once each, on the string in the file
 
 
 def test_parse_automaton_rejects_bad_json():

@@ -1,11 +1,9 @@
 import json
 import os
 import subprocess
-import sys
 
 import pytest
 
-import fuzzybisim
 from fuzzybisim import (
     GOEDEL,
     FuzzyAutomaton,
@@ -18,7 +16,7 @@ from fuzzybisim import (
 from fuzzybisim.cli import main
 from fuzzybisim.oracle import random_automaton
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_python
 
 A = str(FIXTURES / "ex_a.json")
 AP = str(FIXTURES / "ex_a_prime.json")
@@ -280,14 +278,7 @@ def test_max_lambda(capsys):
 
 
 def _run_cli(args, env_extra=None, stdout=subprocess.PIPE):
-    env = dict(os.environ)
-    # the child imports the package this process imported
-    src = os.path.dirname(os.path.dirname(fuzzybisim.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "fuzzybisim", *args],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env)
+    return run_python(["-m", "fuzzybisim", *args], env_extra, stdout)
 
 
 def test_reruns_are_byte_identical():
@@ -350,3 +341,37 @@ def test_unknown_state_named_does_not_depend_on_hash_seed(tmp_path, kind):
         result = _run_cli(argv, {"PYTHONHASHSEED": seed})
         assert result.returncode == 2
         assert f"unknown state {name!r}".encode() in result.stderr
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+from fuzzybisim.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+for argv in json.loads(sys.argv[1]):
+    assert run(argv)[0] == 0, argv
+    loaded = sorted({"fuzzybisim.hmlogic", "dataclasses"} & set(sys.modules))
+    assert not loaded, (argv[0], loaded)
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+
+def test_only_formula_commands_load_hmlogic(capsys, tmp_path, aut_a, aut_ap):
+    # a fresh interpreter: pytest itself has loaded dataclasses
+    relation = tmp_path / "sim.json"
+    relation.write_text(serialize_relation(greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap).relation))
+    plain = [["check-sim", A, AP, "--relation", str(relation)],
+             ["norm", A, AP, "--relation", str(relation), "--kind", "sim"],
+             ["lang", A, "--word", "s"],
+             ["greatest-sim", A, AP],
+             ["verify-preservation", A, AP, "--relation", str(relation), "--max-len", "2"]]
+    formula = [["hm-degree", A, AP, "--depth", "1", "--fragment", "bisim"],
+               ["eval-formula", A, "--formula", "<s> (0.7 -> T)"]]
+    result = run_python(["-c", _STARTUP_PROBE, json.dumps(plain), json.dumps(formula)])
+    assert result.returncode == 0, result.stderr.decode()
+    assert json.loads(result.stdout) == [list(run(capsys, *argv)[:2]) for argv in formula]

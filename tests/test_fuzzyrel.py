@@ -30,7 +30,9 @@ from fuzzybisim import (
     subsethood,
     union,
 )
+from fuzzybisim import fuzzyrel
 from fuzzybisim.errors import InputError
+from fuzzybisim.lattice import parse_degree
 
 LATTICES = (GOEDEL, LUKASIEWICZ, PRODUCT)
 
@@ -236,3 +238,12 @@ def test_parse_relation_rejects_over_deep_json():
 def test_zero_degree_entries_are_dropped_on_parse():
     phi = parse_relation('[{"from": "a", "to": "b", "degree": "0"}]')
     assert phi == FuzzyRelation()
+
+
+def test_parse_relation_parses_each_degree_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fuzzyrel, "parse_degree", lambda v: calls.append(v) or parse_degree(v))
+    phi = parse_relation('[{"from": "b", "to": "a", "degree": "1/2"}, '
+                         '{"from": "a", "to": "b", "degree": "0"}]')
+    assert calls == ["1/2", "0"]
+    assert phi.items() == [(("b", "a"), Fraction(1, 2))]

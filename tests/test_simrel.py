@@ -13,6 +13,7 @@ from fuzzybisim import (
     PRODUCT,
     FuzzyAutomaton,
     FuzzyRelation,
+    SimReport,
     approx_from_greatest,
     bisim_norm,
     check_crisp_bisimulation,
@@ -318,6 +319,21 @@ def test_report_round_trip(aut_a, aut_ap):
     obj = report_to_obj(report)
     assert list(obj) == ["kind", "relation", "norm", "iterations", "converged"]
     assert report_from_obj(json.loads(json.dumps(obj))) == report
+
+
+def test_reports_are_named_tuples(aut_a, aut_ap):
+    report = greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap)
+    assert report == SimReport(relation=GREATEST_SIM_GODEL, norm=Fraction(3, 5),
+                               kind="simulation", iterations=2, converged=True)
+    relation, norm, *_rest = report
+    assert (relation, norm) == (report.relation, report.norm)
+    assert report == tuple(report)
+    assert repr(report).startswith("SimReport(relation=FuzzyRelation({")
+    assert repr(verify_preservation(GOEDEL, aut_a, aut_ap, relation, 2)) == (
+        "PreservationReport(pointwise_ok=True, global_ok=True, exact=True, "
+        "global_degree=Fraction(3, 5))")
+    with pytest.raises(AttributeError):
+        report.norm = ONE
 
 
 # each mutation edits the report object in place, or returns what to read instead
