@@ -122,7 +122,7 @@ def lang_degree_from_state(lat: ResiduatedLattice, aut: FuzzyAutomaton,
     """Recognized degree with the initial set replaced by {x: 1}."""
     if x not in aut.states:
         raise InputError(f"unknown state {x!r} for automaton {aut.name!r}")
-    return _degree_from(lat, aut, FuzzySet({x: ONE}), word)
+    return _degree_from(lat, aut, FuzzySet._from_parsed({x: ONE}), word)
 
 
 def _degree_from(lat, aut, front: FuzzySet, word) -> Fraction:

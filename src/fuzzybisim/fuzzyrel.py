@@ -4,6 +4,10 @@ Both containers are sparse and ordered: only nonzero degrees are stored, in
 key order fixed on construction, and absent keys read as 0.  Dropping zeros
 on construction makes structural equality coincide with semantic equality,
 which is what lets fixpoint loops detect stabilization by a plain ``==``.
+
+The constructors check raw input (each degree, each relation key).  A
+container computed from valid ones, such as a composition or a decoded
+fixpoint iterate, is built by `_from_parsed` without checking them again.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ class FuzzySet:
 
     @classmethod
     def _from_parsed(cls, degrees: Mapping):
-        """Build from degrees that parse_degree has returned already, without
-        checking them again; zeros are dropped and keys sorted as usual."""
+        """Build from degrees that parse_degree returned or lattice operations
+        made from such, without checking them again; zeros dropped, keys sorted."""
         fset = cls.__new__(cls)
         fset._entries = dict(sorted(item for item in degrees.items() if item[1]))
         return fset
@@ -44,9 +48,6 @@ class FuzzySet:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
 
     def __eq__(self, other) -> bool:
         # exact types: a set never equals a relation, even with equal entries
@@ -131,7 +132,7 @@ def compose_rel_rel(lat: ResiduatedLattice, phi: FuzzyRelation, psi: FuzzyRelati
             key = (x, z)
             if v > out.get(key, ZERO):
                 out[key] = v
-    return FuzzyRelation(out)
+    return FuzzyRelation._from_parsed(out)
 
 
 def compose_set_rel(lat: ResiduatedLattice, f: FuzzySet, phi: FuzzyRelation) -> FuzzySet:
@@ -141,7 +142,7 @@ def compose_set_rel(lat: ResiduatedLattice, f: FuzzySet, phi: FuzzyRelation) -> 
         v = lat.tnorm(f.degree(x), d)
         if v > out.get(y, ZERO):
             out[y] = v
-    return FuzzySet(out)
+    return FuzzySet._from_parsed(out)
 
 
 def compose_rel_set(lat: ResiduatedLattice, phi: FuzzyRelation, g: FuzzySet) -> FuzzySet:
@@ -151,7 +152,7 @@ def compose_rel_set(lat: ResiduatedLattice, phi: FuzzyRelation, g: FuzzySet) -> 
         v = lat.tnorm(d, g.degree(y))
         if v > out.get(x, ZERO):
             out[x] = v
-    return FuzzySet(out)
+    return FuzzySet._from_parsed(out)
 
 
 def compose_set_set(lat: ResiduatedLattice, f: FuzzySet, g: FuzzySet) -> Fraction:
@@ -165,7 +166,7 @@ def compose_set_set(lat: ResiduatedLattice, f: FuzzySet, g: FuzzySet) -> Fractio
 
 
 def converse(phi: FuzzyRelation) -> FuzzyRelation:
-    return FuzzyRelation({(y, x): d for (x, y), d in phi.items()})
+    return FuzzyRelation._from_parsed({(y, x): d for (x, y), d in phi.items()})
 
 
 def union(relations: Iterable[FuzzyRelation]) -> FuzzyRelation:
@@ -175,19 +176,19 @@ def union(relations: Iterable[FuzzyRelation]) -> FuzzyRelation:
         for key, d in phi.items():
             if d > out.get(key, ZERO):
                 out[key] = d
-    return FuzzyRelation(out)
+    return FuzzyRelation._from_parsed(out)
 
 
 def scalar_meet(lam: Fraction, obj):
     """(lam /\\ f)(x) = lam /\\ f(x), for a FuzzySet or a FuzzyRelation."""
     lam = parse_degree(lam)
     if isinstance(obj, FuzzySet):
-        return type(obj)({key: min(lam, d) for key, d in obj.items()})
+        return type(obj)._from_parsed({key: min(lam, d) for key, d in obj.items()})
     raise InputError(f"scalar_meet expects a FuzzySet or FuzzyRelation, got {type(obj).__name__}")
 
 
 def identity_rel(universe: Iterable) -> FuzzyRelation:
-    return FuzzyRelation({(x, x): ONE for x in universe})
+    return FuzzyRelation._from_parsed({(x, x): ONE for x in universe})
 
 
 def is_reflexive(phi: FuzzyRelation, universe: Iterable) -> bool:

@@ -120,10 +120,10 @@ def _evaluate(lat, aut, w, strict: bool) -> FuzzySet:
     if isinstance(w, (Implies, Iff)):
         op, c = lat.residuum if isinstance(w, Implies) else lat.biresiduum, parse_degree(w.constant)
         sub = _evaluate(lat, aut, w.body, strict)
-        return FuzzySet({x: op(c, sub.degree(x)) for x in aut.states})
+        return FuzzySet._from_parsed({x: op(c, sub.degree(x)) for x in aut.states})
     if isinstance(w, And):
         left, right = _evaluate(lat, aut, w.left, strict), _evaluate(lat, aut, w.right, strict)
-        return FuzzySet({x: min(d, right.degree(x)) for x, d in left.items()})
+        return FuzzySet._from_parsed({x: min(d, right.degree(x)) for x, d in left.items()})
     raise InputError(f"not a formula node: {w!r}")
 
 
@@ -273,9 +273,9 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
     the given step-depth.  Antitone in depth; always above the true degree."""
     codec, bidir, atoms = _readout_atoms(lat, a, ap, depth, fragment)
     op, decode, vectors = codec.op(bidir), codec.decode, [vec for vec, _formula in atoms]
-    return FuzzyRelation({(x, xp): decode(_readout(op, codec.top, vectors, i, j))
-                          for i, x in enumerate(a.states)
-                          for j, xp in enumerate(ap.states, len(a.states))})
+    return FuzzyRelation._from_parsed({(x, xp): decode(_readout(op, codec.top, vectors, i, j))
+                                       for i, x in enumerate(a.states)
+                                       for j, xp in enumerate(ap.states, len(a.states))})
 
 
 def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,

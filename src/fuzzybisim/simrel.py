@@ -76,19 +76,17 @@ from .automata import FuzzyAutomaton, delta_rel, max_live_word_length, UNBOUNDED
 from .errors import InputError, NonConvergenceError
 from .fuzzyrel import (
     FuzzyRelation,
+    compose_rel_set,
     compose_set_rel,
-    converse,
     relation_json_array,
     relation_from_obj,
     subsethood,
 )
 # unused here, but the benchmark's tracer wraps these by name on this module
-from .fuzzyrel import compose_rel_rel, compose_rel_set, compose_set_set, pointwise_leq  # noqa: F401
+from .fuzzyrel import compose_rel_rel, compose_set_set, converse, pointwise_leq  # noqa: F401
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, meet, parse_degree
 
 DEFAULT_MAX_ITERS = 10000
-
-_EMPTY_REL = FuzzyRelation()
 
 
 class SimReport(NamedTuple):
@@ -162,7 +160,7 @@ def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> 
 def _condition_degree(lat, a, ap, phi, bidir: bool) -> Fraction:
     """S(phi, F(phi)): the degree of the step and terminal conditions."""
     _validate_rel(phi, a, ap)
-    return _Kernel(lat, a, ap, bidir, phi).condition_degree()
+    return _Kernel(lat, a, ap, bidir, [d for _key, d in phi.items()]).condition_degree(phi)
 
 
 def check_fuzzy_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
@@ -192,9 +190,10 @@ def sim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
     """S(sigma, sigma' o phi^-1): the degree to which initial states are matched.
 
     Defined for any relation; meaningful when phi passes the simulation check.
+    As every t-norm here commutes, sigma' o phi^-1 is read as phi o sigma'.
     """
     _validate_rel(phi, a, ap)
-    return subsethood(lat, a.sigma, compose_set_rel(lat, ap.sigma, converse(phi)))
+    return subsethood(lat, a.sigma, compose_rel_set(lat, phi, ap.sigma))
 
 
 def bisim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
@@ -243,7 +242,7 @@ def _codec(lat: ResiduatedLattice, degrees: list) -> _Codec:
     return _Codec(lambda v: v, lambda v: v, lat.tnorm, lat.residuum, ZERO, ONE)
 
 
-def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra: list) -> tuple:
+def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra) -> tuple:
     """A and A' over joint indices, A's states first, then A''s, on codes:
     (codec, the tau vector, per union-alphabet symbol s the pair (s, its
     transitions (x, y, code)) in both).  The codec also covers the extra
@@ -255,7 +254,7 @@ def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra:
                   for (x, y), d in delta_rel(aut, s).items()])
              for s in sorted(set(a.alphabet) | set(ap.alphabet))]
     tau = [aut.tau.degree(x) for aut, _pos in sides for x in aut.states]
-    codec = _codec(lat, tau + [d for _s, edges in steps for _x, _y, d in edges] + extra)
+    codec = _codec(lat, [*tau, *(d for _s, edges in steps for _x, _y, d in edges), *extra])
     encode = codec.encode
     return (codec, tuple(map(encode, tau)),
             [(s, [(x, y, encode(d)) for x, y, d in edges]) for s, edges in steps])
@@ -266,7 +265,7 @@ class _Kernel:
 
     An iterate is a flat list of codes indexed by x * |A'| + x', with states
     numbered by their position; the code of 0 is the only falsy code.  The
-    codes also cover the degrees of phi, which is coded as self.phi.
+    codec also covers the extra degrees, those of a relation to check.
 
     The transitions are _joint's: A's states are 0..n-1, A''s n..n+m-1.  A
     sweep reads phi as a relation phi~ on joint states, phi(y, y') at
@@ -282,14 +281,12 @@ class _Kernel:
     (n + x', x) too.
     """
 
-    __slots__ = ("a", "ap", "bidir", "codec", "edges", "succ", "phi0", "phi")
+    __slots__ = ("a", "ap", "bidir", "codec", "edges", "succ", "phi0")
 
-    def __init__(self, lat, a, ap, bidir: bool, phi: FuzzyRelation = _EMPTY_REL):
+    def __init__(self, lat, a, ap, bidir: bool, extra=()):
         self.a, self.ap, self.bidir = a, ap, bidir
-        codec, tau, steps = _joint(lat, a, ap, [d for _key, d in phi.items()])
-        self.codec = codec
-        n, m = len(a.states), len(ap.states)
-        size = n + m
+        self.codec, tau, steps = _joint(lat, a, ap, extra)
+        n, size = len(a.states), len(tau)
         # every comp_s in one flat list, comp_s(u, w) at (s * size + u) * size + w:
         # per symbol the edges as (offset of row u, v, code), and per joint
         # state u its transitions as (offset of column v, code)
@@ -298,12 +295,8 @@ class _Kernel:
             self.edges.append([((s * size + u) * size, v, d) for u, v, d in edges])
             for u, v, d in edges:
                 self.succ[u].append((s * size * size + v, d))
-        op = codec.op(bidir)
-        self.phi = [codec.encode(phi.degree(x, xp)) for x in a.states for xp in ap.states]
-        # refine reads phi_0 on its argument's support only, and a check refines phi
-        self.phi0 = [codec.zero] * len(self.phi)
-        for i in ([i for i, v in enumerate(self.phi) if v] if phi else range(len(self.phi))):
-            self.phi0[i] = op(tau[i // m], tau[n + i % m])
+        op = self.codec.op(bidir)
+        self.phi0 = [op(t, tp) for t in tau[:n] for tp in tau[n:]]
 
     def refine(self, phi: list) -> list:
         """F(phi) = phi_0 /\\ G(phi) on phi's support, 0 elsewhere: one Jacobi
@@ -342,9 +335,11 @@ class _Kernel:
             nxt[i] = v
         return nxt
 
-    def condition_degree(self) -> Fraction:
-        """S(phi, F(phi)) for self.phi, decoded; off its support every residuum is 1."""
-        res, pairs = self.codec.residuum, zip(self.phi, self.refine(self.phi))
+    def condition_degree(self, phi: FuzzyRelation) -> Fraction:
+        """S(phi, F(phi)), decoded, for a phi the codec covers (residua off its support are 1)."""
+        encode, res = self.codec.encode, self.codec.residuum
+        coded = [encode(phi.degree(x, xp)) for x in self.a.states for xp in self.ap.states]
+        pairs = zip(coded, self.refine(coded))
         return self.codec.decode(min((res(p, f) for p, f in pairs if p), default=self.codec.top))
 
     def iterates(self):
@@ -361,8 +356,8 @@ class _Kernel:
     def relation(self, phi: list) -> FuzzyRelation:
         """Decode an iterate."""
         m, states, states_p, decode = len(self.ap.states), self.a.states, self.ap.states, self.codec.decode
-        return FuzzyRelation({(states[i // m], states_p[i % m]): decode(v)
-                              for i, v in enumerate(phi) if v})
+        return FuzzyRelation._from_parsed({(states[i // m], states_p[i % m]): decode(v)
+                                           for i, v in enumerate(phi) if v})
 
 
 def refinement_steps(lat: ResiduatedLattice, a: FuzzyAutomaton,
@@ -448,7 +443,7 @@ def approx_from_greatest(phi: FuzzyRelation, lam) -> FuzzyRelation:
     to its norm, the result is a lam-approximate simulation (bisimulation).
     """
     lam = parse_degree(lam)
-    return FuzzyRelation({key: (ONE if d >= lam else d) for key, d in phi.items()})
+    return FuzzyRelation._from_parsed({key: (ONE if d >= lam else d) for key, d in phi.items()})
 
 
 def max_approx_lambda(lat: ResiduatedLattice, a: FuzzyAutomaton,

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from fuzzybisim import (
     serialize_automaton,
     words_up_to,
 )
-from fuzzybisim import automata, fuzzyrel
+from fuzzybisim import automata, fuzzyrel, hmlogic, simrel
 from fuzzybisim.errors import InputError
 from fuzzybisim.lattice import parse_degree
 from fuzzybisim.oracle import random_automaton
@@ -180,6 +181,26 @@ def test_parse_automaton_parses_each_degree_once(monkeypatch):
     degrees += [*obj["initial"].values(), *obj["terminal"].values()]
     assert len(degrees) == 629             # 612 transitions; the 0 draws are not written
     assert sorted(calls) == sorted(degrees)     # once each, on the string in the file
+
+
+def test_computed_relations_are_not_parsed_again(monkeypatch):
+    # degrees enter through parse_degree once; what the lattice operations
+    # make from them is built without checking it again
+    pool = [f"{i}/6" for i in range(7)]
+    a = random_automaton("A", 5, ["a", "b"], pool, 1)
+    ap = random_automaton("B", 4, ["a", "c"], pool, 2)
+    guard = Fraction(1, 2)
+    formula = hmlogic.Implies(guard, hmlogic.Step("a", hmlogic.TAU))
+    calls = []
+    for module in (automata, fuzzyrel, simrel, hmlogic):
+        monkeypatch.setattr(module, "parse_degree", lambda v: calls.append(v) or parse_degree(v))
+    for lat in (GOEDEL, LUKASIEWICZ, PRODUCT):
+        simrel.greatest_fuzzy_simulation(lat, a, ap, max_iters=20)
+        simrel.greatest_fuzzy_bisimulation(lat, a, ap, max_iters=20)
+        list(itertools.islice(simrel.refinement_steps(lat, a, ap, "bisim"), 5))
+        hmlogic.hm_degree_bounded(lat, a, ap, 1, "sim")
+        hmlogic.eval_formula(lat, a, formula)
+    assert calls == [guard] * 3
 
 
 def test_parse_automaton_rejects_bad_json():

@@ -174,6 +174,8 @@ def test_union_and_scalar_meet():
     assert cut.degree("b", "y") == Fraction(3, 10)
     f = scalar_meet(Fraction(1, 2), FuzzySet({"a": "0.9"}))
     assert f.degree("a") == Fraction(1, 2)
+    with pytest.raises(InputError, match="expects a FuzzySet"):
+        scalar_meet(Fraction(1, 2), {"a": Fraction(1)})
 
 
 def test_union_is_least_upper_bound():

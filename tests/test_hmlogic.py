@@ -57,6 +57,8 @@ def test_eval_basic_nodes(aut_a):
     iffed = eval_formula(GOEDEL, aut_a, Iff(Fraction(0), TAU))
     # 0 <-> tau(x) is the complement-like readout: 1 exactly where tau is 0
     assert iffed == FuzzySet({"u": "1"})
+    with pytest.raises(InputError, match="not a formula node"):
+        eval_formula(GOEDEL, aut_a, "T")
 
 
 def test_eval_rejects_unknown_symbol(aut_a):
@@ -92,6 +94,8 @@ def test_format_parse_round_trip():
     ]
     for node in samples:
         assert parse_formula(format_formula(node)) == node
+    with pytest.raises(InputError, match="not a formula node"):
+        format_formula(Step("s", "T"))
 
 
 @pytest.mark.parametrize("text", [

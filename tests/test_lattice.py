@@ -70,6 +70,7 @@ def test_by_name():
     assert by_name("godel") is GOEDEL
     assert by_name("lukasiewicz") is LUKASIEWICZ
     assert by_name("product") is PRODUCT
+    assert repr(by_name("lukasiewicz")) == "ResiduatedLattice('lukasiewicz')"
     with pytest.raises(InputError):
         by_name("drastic")
 
