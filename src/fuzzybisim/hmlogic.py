@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .automata import FuzzyAutomaton, delta_rel
 from .errors import InputError
@@ -64,36 +63,39 @@ from .simrel import _back_step, _converged_greatest, _joint, _parse_kind, _reado
 DEFAULT_POOL_CAP = 64
 
 
-@dataclass(frozen=True)
-class Tau:
+class Tau(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     symbol: str
-    body: "Formula"
+    body: Formula
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     constant: Fraction
-    body: "Formula"
+    body: Formula
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(NamedTuple):
     constant: Fraction
-    body: "Formula"
+    body: Formula
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(NamedTuple):
+    left: Formula
+    right: Formula
 
 
 Formula = Union[Tau, Step, Implies, Iff, And]
+
+# A node equals only a node of its own class with equal fields, so
+# Implies(c, w) != Iff(c, w) and Tau() != (), and every node is true, the
+# empty Tau too.  Set after each class is made, __eq__ keeps tuple.__hash__.
+for _cls in (Tau, Step, Implies, Iff, And):
+    _cls.__eq__ = lambda self, other: type(self) is type(other) and tuple.__eq__(self, other)
+    _cls.__ne__ = lambda self, other: not self == other
+    _cls.__bool__ = lambda self: True
 
 TAU = Tau()
 
@@ -143,22 +145,18 @@ def constant_pool(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
     base = {ZERO, ONE}
     for aut in (a, ap):
         base.update(d for _x, d in aut.tau.items())
-        base.update(d for _key, d in aut.transitions())
+        base.update(d for s in aut.alphabet for _pair, d in delta_rel(aut, s).items())
     pool = sorted(base)[:cap]
     for _ in range(max(depth, 0)):
-        known = set(pool)
         room = cap - len(pool)
         if room <= 0:
             break
-        new = set()
-        for x in pool:
-            for y in pool:
-                for v in (lat.tnorm(x, y), lat.residuum(x, y), min(x, y)):
-                    if v not in known:
-                        new.add(v)
+        # no meets: min(x, y) is x or y, already in the pool
+        new = {v for x in pool for y in pool
+               for v in (lat.tnorm(x, y), lat.residuum(x, y))}.difference(pool)
         if not new:
             break
-        pool = sorted(known | set(sorted(new)[:room]))
+        pool = sorted(pool + sorted(new)[:room])
     return pool
 
 
@@ -286,8 +284,7 @@ def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutom
     return [formula for _vec, formula in atoms]
 
 
-@dataclass(frozen=True)
-class HMAgreementReport:
+class HMAgreementReport(NamedTuple):
     relation: FuzzyRelation
     matches_fixpoint: bool
 

@@ -10,12 +10,12 @@ agree before a result counts as verified.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import FuzzyAutomaton
 from .errors import InputError, NonConvergenceError
 from .fuzzyrel import FuzzyRelation
-from .lattice import ONE, ZERO, ResiduatedLattice, parse_degree
+from .lattice import ZERO, ResiduatedLattice, parse_degree
 from .simrel import resolve_max_iters
 
 CONDITIONS = (
@@ -209,8 +209,7 @@ def shrink_to_bisimulation(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyA
     return _shrink(lat, a, ap, psi, bidir=True, max_iters=max_iters)
 
 
-@dataclass(frozen=True)
-class RelationSample:
+class RelationSample(NamedTuple):
     relation: FuzzyRelation
     seed: int
     value_pool: tuple

@@ -357,7 +357,11 @@ for argv in json.loads(sys.argv[1]):
     assert run(argv)[0] == 0, argv
     loaded = sorted({"fuzzybisim.hmlogic", "dataclasses"} & set(sys.modules))
     assert not loaded, (argv[0], loaded)
-print(json.dumps([run(argv) for argv in json.loads(sys.argv[2])]))
+results = [run(argv) for argv in json.loads(sys.argv[2])]
+# the formula nodes and reports are NamedTuples: not even hmlogic loads these
+loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
+assert not loaded, loaded
+print(json.dumps(results))
 """
 
 

@@ -98,6 +98,22 @@ def test_format_parse_round_trip():
         format_formula(Step("s", "T"))
 
 
+def test_formula_nodes_compare_as_records():
+    c = Fraction(1, 2)
+    # equal fields in another class, or in a plain tuple, make no equal node
+    assert not Implies(c, TAU) == Iff(c, TAU)
+    assert Implies(c, TAU) != Iff(c, TAU)
+    assert Step("a", TAU) != ("a", TAU) and not ("a", TAU) == Step("a", TAU)
+    assert TAU != () and not () == TAU
+    assert Step("a", Tau()) == Step(symbol="a", body=TAU)
+    assert bool(TAU)
+    assert hash(Step("a", TAU)) == hash(("a", TAU))
+    assert repr(And(Step("a", TAU), Iff(c, TAU))) == (
+        "And(left=Step(symbol='a', body=Tau()), right=Iff(constant=Fraction(1, 2), body=Tau()))")
+    with pytest.raises(AttributeError):
+        Step("a", TAU).symbol = "b"
+
+
 @pytest.mark.parametrize("text", [
     "",
     "T T",
@@ -363,8 +379,11 @@ def test_every_enumerated_formula_respects_the_relation(aut_a, aut_ap):
 
 def test_agreement_on_reference_pair(aut_a, aut_ap):
     sim = hm_agreement(GOEDEL, aut_a, aut_ap, 3, "sim")
-    assert sim.matches_fixpoint
+    relation, matches = sim
+    assert matches is sim.matches_fixpoint is True
+    assert relation is sim.relation
     assert sim.relation == greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap).relation
+    assert sim == (sim.relation, True)
     bisim = hm_agreement(GOEDEL, aut_a, aut_ap, 3, "bisim")
     assert bisim.matches_fixpoint
 

@@ -128,6 +128,9 @@ def test_random_relation_is_deterministic():
     assert isinstance(one, RelationSample)
     assert one.relation == two.relation
     assert one.seed == 17
+    assert one.value_pool == tuple(map(Fraction, POOL))
+    relation, seed, pool = one
+    assert (relation, seed, pool) == two
     assert one != other
     assert random_relation("abc", "xy", POOL, 5, density=0.0).relation == FuzzyRelation()
     with pytest.raises(InputError):
