@@ -17,14 +17,15 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, decode_json
+from .errors import InputError, check_object, decode_json
 from .fuzzyrel import FuzzyRelation, FuzzySet, compose_set_rel, compose_set_set, union
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 #: Returned by max_live_word_length when no finite certificate exists.
 UNBOUNDED = None
 
-_FIELDS = ("name", "alphabet", "states", "initial", "terminal", "transitions")
+_FIELDS = {"name", "alphabet", "states", "initial", "terminal", "transitions"}
+_TRANSITION_FIELDS = {"from", "symbol", "to", "degree"}
 
 
 class FuzzyAutomaton:
@@ -33,9 +34,10 @@ class FuzzyAutomaton:
     __slots__ = ("name", "states", "alphabet", "sigma", "tau", "_delta_rels")
 
     def __init__(self, name: str, states: Iterable[str], alphabet: Iterable[str],
-                 delta: Mapping, sigma, tau, *, _parsed: bool = False):
-        """Checks its input and stores it; every degree goes through parse_degree
-        once.  automaton_from_obj has parsed delta's degrees and passes _parsed=True."""
+                 delta: Mapping, sigma, tau):
+        """Checks its input and stores it: states, symbols, initial, terminal, then
+        transitions.  Every degree goes through parse_degree once, here or in
+        FuzzySet; automaton_from_obj passes the degrees as read from the file."""
         states = tuple(states)
         alphabet = tuple(alphabet)
         if not states:
@@ -66,7 +68,7 @@ class FuzzyAutomaton:
                 raise InputError(f"transition to unknown state {y!r}")
             if s not in alphabet:
                 raise InputError(f"transition over unknown symbol {s!r}")
-            degree = value if _parsed else parse_degree(value)
+            degree = parse_degree(value)
             if degree:  # zeros are not stored, not even over an earlier repeat of the key
                 rels[s][(x, y)] = degree
 
@@ -176,14 +178,8 @@ def max_live_word_length(aut: FuzzyAutomaton, starts=None):
 
 
 def automaton_from_obj(obj) -> FuzzyAutomaton:
-    if not isinstance(obj, dict):
-        raise InputError("automaton JSON must be an object")
-    extra = set(obj) - set(_FIELDS)
-    if extra:
-        raise InputError(f"unknown automaton fields {sorted(extra)}")
-    missing = set(_FIELDS) - set(obj)
-    if missing:
-        raise InputError(f"automaton is missing fields {sorted(missing)}")
+    """Checks the JSON shape; FuzzyAutomaton checks the values."""
+    check_object(obj, _FIELDS, "automaton")
     name = obj["name"]
     if not isinstance(name, str):
         raise InputError(f"automaton name must be a string, got {name!r}")
@@ -199,28 +195,16 @@ def automaton_from_obj(obj) -> FuzzyAutomaton:
         raise InputError("transitions must be an array")
     delta: dict = {}
     for item in transitions:
-        if not isinstance(item, dict):
-            raise InputError(f"transition must be an object, got {item!r}")
-        fields = {"from", "symbol", "to", "degree"}
-        if set(item) != fields:
-            bad = sorted(set(item) ^ fields)
-            raise InputError(f"transition object must have exactly from/symbol/to/degree, offending fields {bad}")
+        check_object(item, _TRANSITION_FIELDS, "transition")
         x, s, y = item["from"], item["symbol"], item["to"]
         for v in (x, s, y):
             if not isinstance(v, str):
                 raise InputError(f"transition endpoints and symbol must be strings, got {v!r}")
         if (x, s, y) in delta:
             raise InputError(f"duplicate transition ({x!r}, {s!r}, {y!r})")
-        delta[(x, s, y)] = parse_degree(item["degree"])
-    return FuzzyAutomaton(
-        name=name,
-        states=obj["states"],
-        alphabet=obj["alphabet"],
-        delta=delta,
-        sigma=FuzzySet(obj["initial"]),
-        tau=FuzzySet(obj["terminal"]),
-        _parsed=True,
-    )
+        delta[(x, s, y)] = item["degree"]
+    return FuzzyAutomaton(name=name, states=obj["states"], alphabet=obj["alphabet"],
+                          delta=delta, sigma=obj["initial"], tau=obj["terminal"])
 
 
 def parse_automaton(text: str) -> FuzzyAutomaton:

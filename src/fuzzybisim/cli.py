@@ -134,16 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def _load(path: str, parse):
+    """parse(text of path); an unreadable file or bad input is named by its path once."""
     try:
-        return parse(_read_text(path))
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        return parse(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -1,6 +1,9 @@
-"""Shared exception types, and the JSON decoding both file parsers share."""
+"""Shared exception types, and the JSON decoding and object shape check the
+file readers share.  A reader checks the shape of what it decodes; the
+constructor it hands the values to checks the values."""
 
 import json
+import reprlib
 
 
 class InputError(ValueError):
@@ -27,3 +30,14 @@ def _unique_keys(pairs: list) -> dict:
         key = next(key for key, _value in pairs if key in seen or seen.add(key))
         raise InputError(f"repeated key {key!r}")
     return obj
+
+
+def check_object(obj, fields, what: str) -> None:
+    """Raise InputError unless obj is a dict whose keys are exactly fields (a set)."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be an object, got {reprlib.repr(obj)}")
+    if obj.keys() != fields:
+        unknown = obj.keys() - fields
+        if unknown:
+            raise InputError(f"{what} has unknown fields {sorted(unknown)}")
+        raise InputError(f"{what} is missing fields {sorted(fields - obj.keys())}")

@@ -5,9 +5,10 @@ key order fixed on construction, and absent keys read as 0.  Dropping zeros
 on construction makes structural equality coincide with semantic equality,
 which is what lets fixpoint loops detect stabilization by a plain ``==``.
 
-The constructors check raw input (each degree, each relation key).  A
-container computed from valid ones, such as a composition or a decoded
-fixpoint iterate, is built by `_from_parsed` without checking them again.
+The constructors check raw input (each degree, each relation key), and the
+file readers build through them.  Only a container computed from valid ones,
+such as a composition or a decoded fixpoint iterate, is built by
+`_from_parsed` without checking them again.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InputError, decode_json
+from .errors import InputError, check_object, decode_json
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 
@@ -216,26 +217,23 @@ def serialize_relation(phi: FuzzyRelation) -> str:
     return json.dumps(relation_json_array(phi), indent=2)
 
 
+_ENTRY_FIELDS = {"from", "to", "degree"}
+
+
 def relation_from_obj(obj) -> FuzzyRelation:
+    """Checks the JSON shape; FuzzyRelation checks the degrees."""
     if not isinstance(obj, list):
         raise InputError("relation JSON must be an array of {from, to, degree} objects")
     entries: dict = {}
     for item in obj:
-        if not isinstance(item, dict):
-            raise InputError(f"relation entry must be an object, got {item!r}")
-        extra = set(item) - {"from", "to", "degree"}
-        if extra:
-            raise InputError(f"relation entry has unknown fields {sorted(extra)}")
-        missing = {"from", "to", "degree"} - set(item)
-        if missing:
-            raise InputError(f"relation entry is missing fields {sorted(missing)}")
+        check_object(item, _ENTRY_FIELDS, "relation entry")
         x, y = item["from"], item["to"]
         if not isinstance(x, str) or not isinstance(y, str):
             raise InputError(f"relation endpoints must be strings, got {x!r} -> {y!r}")
         if (x, y) in entries:
             raise InputError(f"duplicate relation entry for ({x!r}, {y!r})")
-        entries[(x, y)] = parse_degree(item["degree"])
-    return FuzzyRelation._from_parsed(entries)
+        entries[(x, y)] = item["degree"]
+    return FuzzyRelation(entries)
 
 
 def parse_relation(text: str) -> FuzzyRelation:

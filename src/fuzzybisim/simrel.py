@@ -73,7 +73,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .automata import FuzzyAutomaton, delta_rel, max_live_word_length, UNBOUNDED
-from .errors import InputError, NonConvergenceError
+from .errors import InputError, NonConvergenceError, check_object
 from .fuzzyrel import (
     FuzzyRelation,
     compose_rel_set,
@@ -458,10 +458,10 @@ def max_approx_lambda(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
 # ---------------------------------------------------------------- joint back vectors
 
-def _back_step(codec: _Codec, edges, vec: tuple, size=None) -> tuple:
+def _back_step(codec: _Codec, edges, vec: tuple) -> tuple:
     """delta_s o vec on both automata at once, on codes: entry x is the sup over
-    the edges (x, y, d) of d (x) vec[y]; size entries, by default len(vec)."""
-    out = [codec.zero] * (len(vec) if size is None else size)
+    the edges (x, y, d) of d (x) vec[y]."""
+    out = [codec.zero] * len(vec)
     tnorm = codec.tnorm
     for x, y, d in edges:
         v = tnorm(d, vec[y])
@@ -516,10 +516,11 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     index, n = a.states.index, len(a.states)
     pointwise_ok = all(d <= decode(_readout(op, top, seen, index(x), n + ap.states.index(xp)))
                        for (x, xp), d in phi.items())
-    # sigma o v and sigma' o v: one step from a virtual initial state of each
+    # sigma o v and sigma' o v: one step from a virtual initial state of each,
+    # read off entries 0 and 1 (every automaton has a state, so len(v) >= 2)
     init = ([(0, index(x), codec.encode(d)) for x, d in a.sigma.items()]
             + [(1, n + ap.states.index(xp), codec.encode(d)) for xp, d in ap.sigma.items()])
-    initial = (_back_step(codec, init, v, 2) for v in seen)
+    initial = (_back_step(codec, init, v) for v in seen)
     global_degree = decode(_readout(op, top, initial, 0, 1))
     global_ok = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi) <= global_degree
 
@@ -544,12 +545,11 @@ def report_to_obj(report: SimReport) -> dict:
     }
 
 
+_REPORT_FIELDS = {"kind", "relation", "norm", "iterations", "converged"}
+
+
 def report_from_obj(obj) -> SimReport:
-    if not isinstance(obj, dict):
-        raise InputError("report JSON must be an object")
-    expected = {"kind", "relation", "norm", "iterations", "converged"}
-    if set(obj) != expected:
-        raise InputError(f"report fields must be exactly {sorted(expected)}")
+    check_object(obj, _REPORT_FIELDS, "report")
     kind = _KIND_NAMES[_parse_kind(obj["kind"])]
     iterations = obj["iterations"]
     converged = obj["converged"]

@@ -148,24 +148,32 @@ def test_serialization_is_canonical(aut_a):
     assert obj["initial"] == {"u": "7/10"}
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda o: o.pop("name"),
-    lambda o: o.update(name=7),
-    lambda o: o.update(extra=1),
-    lambda o: o.update(states="uvw"),
-    lambda o: o.update(initial=[]),
-    lambda o: o["transitions"].append(o["transitions"][0]),
-    lambda o: o["transitions"][0].pop("degree"),
-    lambda o: o["transitions"][0].update(degree=0.5),
-    lambda o: o["transitions"][0].update(junk=1),
-    lambda o: o.update(transitions={}),
-    lambda o: o["transitions"].append(["u", "s", "v", "1"]),
-    lambda o: o["transitions"][0].update(symbol=1),
-])
+# each mutation of the fixture's object, with the message it must raise
+_AUTOMATON_REJECTS = {
+    lambda o: o.pop("name"): r"^automaton is missing fields \['name'\]$",
+    lambda o: o.update(name=7): "name must be a string",
+    lambda o: o.update(extra=1): r"^automaton has unknown fields \['extra'\]$",
+    lambda o: o.update(states="uvw"): "states must be an array of strings",
+    lambda o: o.update(initial=[]): "initial must be an object",
+    lambda o: o["transitions"].append(o["transitions"][0]): "duplicate transition",
+    lambda o: o["transitions"][0].pop("degree"): r"^transition is missing fields \['degree'\]$",
+    lambda o: o["transitions"][0].update(degree=0.5): "inexact float degree",
+    lambda o: o["transitions"][0].update(junk=1): r"^transition has unknown fields \['junk'\]$",
+    lambda o: o.update(transitions={}): "transitions must be an array",
+    lambda o: o["transitions"].append(["u", "s", "v", "1"]):
+        r"^transition must be an object, got \['u', 's', 'v', '1'\]$",
+    lambda o: o["transitions"][0].update(symbol=1): "must be strings, got 1",
+    # the reader checks every object's shape before FuzzyAutomaton parses a degree
+    lambda o: (o["transitions"][0].update(degree="2"), o["transitions"].__setitem__(1, "t")):
+        "^transition must be an object, got 't'$",
+}
+
+
+@pytest.mark.parametrize("mutate", list(_AUTOMATON_REJECTS))
 def test_automaton_from_obj_rejects(aut_a, mutate):
     obj = automaton_to_obj(aut_a)
     mutate(obj)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=_AUTOMATON_REJECTS[mutate]):
         automaton_from_obj(obj)
 
 
@@ -206,7 +214,7 @@ def test_computed_relations_are_not_parsed_again(monkeypatch):
 def test_parse_automaton_rejects_bad_json():
     with pytest.raises(InputError):
         parse_automaton("{not json")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^automaton must be an object, got \['array'\]$"):
         parse_automaton('["array"]')
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -54,13 +55,19 @@ def test_lang_product(capsys):
     assert json.loads(out) == "49/125"
 
 
-def test_lang_bad_inputs(capsys):
+def test_lang_bad_inputs(capsys, tmp_path):
     code, _, err = run(capsys, "lang", A, "--word", "t")
     assert code == 2 and "t" in err
     code, _, err = run(capsys, "lang", A, "--word", ",s")
     assert code == 2
-    code, _, err = run(capsys, "lang", str(FIXTURES / "missing.json"), "--word", "s")
-    assert code == 2 and "missing.json" in err
+    # an unreadable file is named once
+    missing, latin = FIXTURES / "missing.json", tmp_path / "latin.json"
+    code, _, err = run(capsys, "lang", str(missing), "--word", "s")
+    assert code == 2 and err == f"error: cannot read {missing}: {os.strerror(errno.ENOENT)}\n"
+    latin.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "lang", str(latin), "--word", "s")
+    assert code == 2 and err == (f"error: cannot read {latin}: 'utf-8' codec can't decode "
+                                 "byte 0xff in position 0: invalid start byte\n")
 
 
 def test_malformed_automaton_names_file(capsys, tmp_path):

@@ -217,18 +217,27 @@ def test_relation_serialization_round_trip():
     assert parse_relation(serialize_relation(phi)) == phi
 
 
-@pytest.mark.parametrize("text", [
-    '{"from": "a"}',
-    '[{"from": "a", "to": "b"}]',
-    '[{"from": "a", "to": "b", "degree": "1/2", "extra": 1}]',
-    '[{"from": "a", "to": "b", "degree": "1/2"}, {"from": "a", "to": "b", "degree": "1/3"}]',
-    '[{"from": 1, "to": "b", "degree": "1/2"}]',
-    '[{"from": "a", "to": "b", "degree": 0.5}]',
-    "not json",
-    '["entry"]',
-])
+# each bad relation file, with the message it must raise
+_RELATION_REJECTS = {
+    '{"from": "a"}': "must be an array",
+    '[{"from": "a", "to": "b"}]': r"^relation entry is missing fields \['degree'\]$",
+    '[{"from": "a", "to": "b", "degree": "1/2", "extra": 1}]':
+        r"^relation entry has unknown fields \['extra'\]$",
+    '[{"from": "a", "to": "b", "degree": "1/2"}, {"from": "a", "to": "b", "degree": "1/3"}]':
+        "duplicate relation entry",
+    '[{"from": 1, "to": "b", "degree": "1/2"}]': "endpoints must be strings",
+    '[{"from": "a", "to": "b", "degree": 0.5}]': "inexact float degree",
+    "not json": "malformed relation JSON",
+    '["entry"]': "^relation entry must be an object, got 'entry'$",
+    # the reader checks every entry's shape before FuzzyRelation parses a degree
+    '[{"from": "a", "to": "b", "degree": "2"}, {"from": "a", "to": "b", "degree": "1"}]':
+        r"^duplicate relation entry for \('a', 'b'\)$",
+}
+
+
+@pytest.mark.parametrize("text", list(_RELATION_REJECTS))
 def test_parse_relation_rejects(text):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=_RELATION_REJECTS[text]):
         parse_relation(text)
 
 

@@ -336,20 +336,24 @@ def test_reports_are_named_tuples(aut_a, aut_ap):
         report.norm = ONE
 
 
-# each mutation edits the report object in place, or returns what to read instead
-@pytest.mark.parametrize("mutate", [
-    lambda o: o.__delitem__("norm"),
-    lambda o: o.update(extra=1),
-    lambda o: o.update(kind="partial"),
-    lambda o: o.update(iterations=True),
-    lambda o: o.update(iterations=-1),
-    lambda o: o.update(converged="yes"),
-    lambda o: [o],
-])
+# each mutation edits the report object in place, or returns what to read
+# instead, with the message it must raise
+_REPORT_REJECTS = {
+    lambda o: o.__delitem__("norm"): r"^report is missing fields \['norm'\]$",
+    lambda o: o.update(extra=1): r"^report has unknown fields \['extra'\]$",
+    lambda o: o.update(kind="partial"): "unknown kind",
+    lambda o: o.update(iterations=True): "iterations must be a nonnegative integer",
+    lambda o: o.update(iterations=-1): "iterations must be a nonnegative integer",
+    lambda o: o.update(converged="yes"): "converged must be a boolean",
+    lambda o: [o]: r"^report must be an object, got \[\{",
+}
+
+
+@pytest.mark.parametrize("mutate", list(_REPORT_REJECTS))
 def test_report_from_obj_rejects(aut_a, aut_ap, mutate):
     obj = report_to_obj(greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap))
     replaced = mutate(obj)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=_REPORT_REJECTS[mutate]):
         report_from_obj(obj if replaced is None else replaced)
 
 
