@@ -16,40 +16,43 @@ greatest fuzzy simulation (bisimulation) degree of the pair.  Words are
 the guard-free, meet-free formulas <s1>...<sn> T, so the step and readout
 are shared with simrel's language preservation check.
 
-The bounded enumeration behind hm_degree_bounded exploits two readout
-facts that hold in the linear lattices shipped here: a top-level guard
-never lowers a readout (b -> c is below (a -> b) -> (a -> c), likewise for
-biresidua), and a top-level conjunction never drops below the meet of its
-conjuncts' readouts.  The infimum over all formulas of step-depth <= d is
-therefore realized on the atoms: Tau plus the single-step formulas over
-the depth-(d-1) inner set.  Inner sets are still closed under meets and
-guards, because guards inside a step do matter.  The closure keeps each
-formula as one joint vector (its degrees on A's states, then A''s), which
-is also the dedup key: only the first formula reaching a vector is kept,
-and a formula is built only for a new vector.  At most one guard is applied
-directly to any subformula (guard stacking collapses for -> and is cut from
-the search space for <->).
+Theorem (the bounded Hennessy-Milner property): with a full constant pool,
+the readout infimum over the fragment's formulas of step-depth <= d is the
+d-th iterate phi_d of simrel.refinement_steps (its last iterate once they
+stabilize), and Tau with the witness step atoms below realize it.
+
+* Soundness, by induction on d: phi_d(x, x') (x) w(x) <= w(x') for every
+  simulation formula w of depth <= d, so phi_d is below every readout.  Tau
+  holds by phi_0 = tau -> tau'; a guard, as a (x) (c -> b) <= c -> (a (x) b);
+  a meet, as (x) is monotone; and <s> w, as phi_d(x, x') (x) delta_s(x, y)
+  <= sup_y' delta'_s(x', y') (x) phi_{d-1}(y, y').  For bisimulations the
+  same holds in both directions, phi_d(x, x') (x) w(x') <= w(x) too, so
+  phi_d(x, x') <= w(x) <-> w(x'), and Iff guards keep it by the biresiduum
+  form of the guard step.
+* The witness: let the depth-d atoms realize phi_d.  For a state y of A and
+  each state z of A', the atom v_z with the least readout has v_z(y) ->
+  v_z(z) = phi_d(y, z), and w_y = /\\_z (v_z(y) -> v_z) has w_y(y) = 1 and
+  w_y(z) <= phi_d(y, z).  So <s> w_y reads at most delta_s(x, y) ->
+  (delta'_s o phi_d^-1)(x', y) at (x, x'), and Tau with every <s> w_y meets
+  to F(phi_d) = phi_{d+1}.  For bisimulations, w_y is built with <-> and
+  also for each state y of A', which gives the mirrored constraint.  One
+  round costs O(|pairs| * |atoms|) readouts and makes 1 + |Sigma| * n atoms
+  for simulations, 1 + |Sigma| * (n + m) for bisimulations.
+* The pool condition: each guard constant v_z(y) is a formula constant, so
+  the equality needs it in constant_pool.  Past DEFAULT_POOL_CAP constants
+  the pool keeps the base degrees and then the smallest closure values; a
+  missing constant drops its conjunct, and the readouts then stay sound,
+  above the greatest relation, but may sit above phi_d.
 
 The vectors hold the refinement kernel's integer codes (simrel._codec:
 Godel ranks, Lukasiewicz numerators over the lcm, product Fractions) for a
 degree set that also holds the guard constants; it is closed under the
 t-norm, residuum, min and max, so every step, guard and meet stays exact on
-codes, and only the readouts are decoded.  The closure meets each
-unordered pair of vectors once (see _closure), and holds a vector of
-integer codes as one int whose & is the pointwise min (see _packing).
-
-Tested, not proved: hm_degree_bounded at depth d equals the d-th iterate of
-simrel.refinement_steps (or its last iterate when they stabilize earlier),
-the bounded form of the Hennessy-Milner theorem.  That holds for a full
-constant pool.  Past DEFAULT_POOL_CAP constants, constant_pool keeps the
-base degrees and then the smallest closure values; the readouts then stay
-above the greatest relation but may sit above iterate d, as guards are
-missing.
+codes, and only the readouts are decoded.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -136,9 +139,10 @@ def constant_pool(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
     """Guard constants for the bounded enumeration.
 
     Every degree occurring in the transition and terminal structure of the
-    two automata, plus 0 and 1, closed under tnorm, residuum and meet for
-    `depth` rounds.  The cap is a safety valve on pathological closures;
-    base degrees always survive it before closure values do.
+    two automata, plus 0 and 1, closed under tnorm and residuum for `depth`
+    rounds (the meet of two constants is one of them).  The cap is a safety
+    valve on pathological closures; base degrees always survive it before
+    closure values do.
     """
     if cap < 2:
         raise InputError("constant pool cap must be at least 2")
@@ -160,92 +164,45 @@ def constant_pool(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
     return pool
 
 
-# widest thermometer field _packing uses: past it a packed vector takes
-# more memory than its tuple of codes
-_PACK_TOP = 256
+def _witness_round(codec, steps, atoms, n, bidir, pool) -> list:
+    """The step atoms one depth above atoms, which are (vector, formula) items
+    on codec's codes, read as their distinct vectors in first-occurrence order.
+
+    For a joint state y of A (and, for bisimulations, of A') and each state z
+    of the other automaton, the witness v is the first vector with the least
+    readout op(v[y], v[z]), and its conjunct guards v's formula by the
+    constant coded v[y]; a v[y] that no pool constant codes gives none.  w_y
+    is the meet of y's distinct conjuncts, and the atoms are <s> w_y for every
+    s, y with a conjunct."""
+    constants = {codec.encode(c): c for c in pool}
+    reps: dict = {}
+    for vec, formula in atoms:
+        reps.setdefault(vec, formula)
+    guard_cls, op, size = Iff if bidir else Implies, codec.op(bidir), len(atoms[0][0])
+    out = []
+    for y in range(size if bidir else n):
+        witnesses = dict.fromkeys(min(reps, key=lambda v: op(v[y], v[z]))
+                                  for z in (range(n, size) if y < n else range(n)))
+        guards = [(tuple([op(v[y], d) for d in v]), guard_cls(constants[v[y]], reps[v]))
+                  for v in witnesses if v[y] in constants]
+        if guards:
+            vec, formula = guards[0]
+            for other, guard in guards[1:]:
+                vec, formula = tuple(map(min, vec, other)), And(formula, guard)
+            out.extend((_back_step(codec, edges, vec), Step(s, formula)) for s, edges in steps)
+    return out
 
 
-def _packing(codec, size: int) -> tuple:
-    """(pack, unpack, meet) for the closure's vectors of size codes.
-
-    Integer codes 0..top (Godel ranks, Lukasiewicz numerators) pack into one
-    int of thermometer fields, top bits per entry with the low r bits set for
-    code r, so the pointwise min of two vectors is the & of their packings.
-    Other codes (product Fractions, fields past _PACK_TOP) stay tuples.
-    meet(vec) is vec's meet with its argument."""
-    top = codec.top
-    if isinstance(top, int) and top <= _PACK_TOP:
-        shifts = range(0, top * size, top)
-        field = (1 << top) - 1
-        return (lambda vec: sum([((1 << r) - 1) << s for r, s in zip(vec, shifts)]),
-                lambda key: tuple([(key >> s & field).bit_length() for s in shifts]),
-                lambda key: key.__and__)
-    # the pointwise min; calling min per entry costs about twice as much
-    return (tuple, tuple,
-            lambda vec: lambda other: tuple([p if p < q else q for p, q in zip(vec, other)]))
-
-
-def _closure(codec, seeds, pool, bidir: bool) -> dict:
-    """Close the seed (vector, formula) items, on codec's codes, under guards by
-    the pool constants and pairwise meets.  Returns the joint vectors, in order
-    of discovery, each with its first formula.
-
-    Items are met in FIFO order, each with the items known once its guards are
-    in.  That set only grows, so the earlier items that already met item i
-    when they were popped form a run just before i; i skips them and itself,
-    whose meets would only rebuild vectors already present.  The vectors are
-    held packed (see _packing) while the closure runs."""
-    guard_cls = Iff if bidir else Implies
-    guard_op = codec.op(bidir)
-    guards = [(c, codec.encode(c)) for c in pool]
-    items: dict = {}
-    pack, unpack, meet_with = _packing(codec, len(seeds[0][0]))
-    for vec, formula in seeds:
-        items.setdefault(pack(vec), formula)
-    vecs = list(items)                 # the keys of items, indexable
-    met = []                           # met[u]: how many items u met when popped
-    first = 0                          # items before first already met the current one
-    i = 0
-    while i < len(vecs):
-        key = vecs[i]
-        formula = items[key]
-        if not isinstance(formula, (Implies, Iff)):
-            codes = unpack(key)
-            for c, code in guards:
-                guarded = pack([guard_op(code, d) for d in codes])
-                if guarded not in items:
-                    items[guarded] = guard_cls(c, formula)
-                    vecs.append(guarded)
-        met.append(len(vecs))
-        while met[first] <= i:
-            first += 1
-        meet = meet_with(key)
-        for other in itertools.chain(itertools.islice(vecs, first),
-                                     itertools.islice(vecs, i + 1, met[i])):
-            joint = meet(other)
-            if joint not in items:
-                items[joint] = And(items[other], formula)
-                vecs.append(joint)
-        i += 1
-    return {unpack(key): formula for key, formula in items.items()}
-
-
-def _top_atoms(codec, tau, steps, depth, bidir, pool) -> list:
-    """Tau plus the step formulas over the depth-(d-1) inner set: the atoms
-    whose readouts realize the bounded infimum, as (vector, formula) items,
-    on the codes of _joint's (codec, tau, steps).  Steps of distinct vectors
-    often agree, so each distinct vector is kept once.
-    A round reads only the distinct vectors of the atoms before it, in order
-    (atoms are never guards), so once that list repeats, the rounds cycle:
-    the loop stops at depth's place in the cycle, with shallower formulas."""
-    atoms, shared, seen, rounds = [(tau, TAU)], {}, {(tau,): 0}, 0
+def _top_atoms(codec, tau, steps, depth, bidir, pool, n) -> list:
+    """Tau plus the witness step atoms of depth d (see _witness_round): the
+    atoms whose readouts realize the bounded infimum, as (vector, formula)
+    items, on the codes of _joint's (codec, tau, steps), with A's n states
+    first.  A round reads only the distinct vectors of the atoms before it,
+    in order, so once that list repeats, the rounds cycle: the loop stops at
+    depth's place in the cycle, with shallower formulas."""
+    atoms, seen, rounds = [(tau, TAU)], {(tau,): 0}, 0
     while rounds < depth:
-        reps = _closure(codec, atoms, pool, bidir)
-        atoms = [(tau, TAU)]
-        for vec, formula in reps.items():
-            for s, edges in steps:
-                back = _back_step(codec, edges, vec)
-                atoms.append((shared.setdefault(back, back), Step(s, formula)))
+        atoms = [(tau, TAU), *_witness_round(codec, steps, atoms, n, bidir, pool)]
         rounds += 1
         key = tuple(dict.fromkeys(vec for vec, _formula in atoms))
         if key in seen:
@@ -262,7 +219,7 @@ def _readout_atoms(lat, a, ap, depth, fragment) -> tuple:
     bidir = _parse_kind(fragment)
     pool = constant_pool(lat, a, ap, depth)
     codec, tau, steps = _joint(lat, a, ap, pool)
-    return codec, bidir, _top_atoms(codec, tau, steps, depth, bidir, pool)
+    return codec, bidir, _top_atoms(codec, tau, steps, depth, bidir, pool, len(a.states))
 
 
 def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
@@ -278,8 +235,11 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
 
 def enumerate_formulas(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
                        depth: int, fragment) -> list:
-    """The atom formulas whose readouts realize hm_degree_bounded.  Once the
-    rounds repeat, they may be shallower than depth (see _top_atoms)."""
+    """The atom formulas whose readouts realize hm_degree_bounded: Tau and
+    the witness step formulas <s> w_y of the module docstring, 1 + |Sigma| * n
+    of them for simulations and 1 + |Sigma| * (n + m) for bisimulations, fewer
+    where a pool constant is missing.  Once the rounds repeat, they may be
+    shallower than depth (see _top_atoms)."""
     _codec, _bidir, atoms = _readout_atoms(lat, a, ap, depth, fragment)
     return [formula for _vec, formula in atoms]
 
@@ -304,10 +264,12 @@ def distinguishing_formula(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyA
                            x: str, xp: str, target, depth: int, fragment):
     """A fragment formula whose readout at (x, x') is <= target, or None.
 
-    Searches the enumerated atoms (sufficient: any formula achieving the
-    target has an atom of its decomposition achieving it too) and never
-    returns a candidate without re-verifying it by direct evaluation.  Once
-    the rounds repeat, it may be shallower than depth (see _top_atoms).
+    Searches the enumerated atoms, and never returns a candidate without
+    re-verifying it by direct evaluation.  That suffices with a full pool:
+    every formula of depth <= d reads at least phi_d, and the atoms' least
+    readout at (x, x') is phi_d(x, x') (the module docstring's theorem), so
+    if any formula reaches the target, an atom does.  Once the rounds
+    repeat, it may be shallower than depth (see _top_atoms).
     """
     if x not in a.states:
         raise InputError(f"unknown state {x!r} for automaton {a.name!r}")

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,21 @@ def run_python(args, env_extra=None, stdout=subprocess.PIPE) -> subprocess.Compl
     env.update(env_extra or {})
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
                           env=env)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the body once it has run for seconds."""
+    def overrun(_signum, _frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def load_automaton(name):

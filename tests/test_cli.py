@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import os
 import subprocess
@@ -7,8 +8,11 @@ import pytest
 
 from fuzzybisim import (
     GOEDEL,
+    PRODUCT,
     FuzzyAutomaton,
     greatest_fuzzy_simulation,
+    refinement_steps,
+    relation_json_array,
     report_from_obj,
     report_to_obj,
     serialize_automaton,
@@ -17,7 +21,7 @@ from fuzzybisim import (
 from fuzzybisim.cli import main
 from fuzzybisim.oracle import random_automaton
 
-from conftest import FIXTURES, run_python
+from conftest import FIXTURES, run_python, time_limit
 
 A = str(FIXTURES / "ex_a.json")
 AP = str(FIXTURES / "ex_a_prime.json")
@@ -250,6 +254,15 @@ def test_hm_degree(capsys):
     arr = json.loads(out)
     assert {"from": "u", "to": "u'", "degree": "7/10"} in arr
     assert {"from": "w", "to": "v'", "degree": "3/5"} in arr
+
+
+def test_product_bisim_hm_degree_is_the_first_iterate(capsys, aut_a, aut_ap):
+    with time_limit(10):
+        code, out, _ = run(capsys, "hm-degree", A, AP, "--lattice", "product",
+                           "--depth", "1", "--fragment", "bisim")
+    assert code == 0
+    iterate = next(itertools.islice(refinement_steps(PRODUCT, aut_a, aut_ap, "bisim"), 1, None))
+    assert json.loads(out) == relation_json_array(iterate)
 
 
 def test_eval_formula(capsys):

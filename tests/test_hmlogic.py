@@ -1,6 +1,4 @@
-import contextlib
 import itertools
-import signal
 from fractions import Fraction
 
 import pytest
@@ -35,9 +33,11 @@ from fuzzybisim import (
 from fuzzybisim.errors import InputError, NonConvergenceError
 from fuzzybisim.fuzzyrel import relation_json_array
 from fuzzybisim import hmlogic
-from fuzzybisim.hmlogic import _closure, _evaluate, _top_atoms
+from fuzzybisim.hmlogic import _evaluate, _top_atoms, _witness_round
 from fuzzybisim.oracle import random_automaton
-from fuzzybisim.simrel import _back_step, _joint
+from fuzzybisim.simrel import _joint
+
+from conftest import time_limit
 
 
 def test_reference_readouts(aut_a, aut_ap):
@@ -163,15 +163,14 @@ def test_constant_pool(aut_a, aut_ap):
 @pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
 @pytest.mark.parametrize("bidir", [False, True], ids=["sim", "bisim"])
 def test_every_atom_vector_is_its_formula_evaluated(lat, bidir):
-    # each atom's joint vector is its formula's degrees on A, then on A';
-    # the product bisimulation closure does not finish above depth 0
-    for depth in (0,) if lat is PRODUCT and bidir else (0, 1, 2):
+    # each atom's joint vector is its formula's degrees on A, then on A'
+    for depth in (0, 1, 2):
         for seed in range(4):
             a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 90 + seed)
             ap = random_automaton("B", 3 - seed % 3, ["a"], ("1/3", "1"), 190 + seed)
             pool = constant_pool(lat, a, ap, depth, 64 if lat is GOEDEL else 2)
             codec, tau, steps = _joint(lat, a, ap, pool)
-            atoms = _top_atoms(codec, tau, steps, depth, bidir, pool)
+            atoms = _top_atoms(codec, tau, steps, depth, bidir, pool, len(a.states))
             assert isinstance(atoms, list)
             for vec, formula in atoms:
                 ea = _evaluate(lat, a, formula, strict=False)
@@ -180,104 +179,39 @@ def test_every_atom_vector_is_its_formula_evaluated(lat, bidir):
                                                          + tuple(map(eb.degree, ap.states)))
 
 
-@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
-@pytest.mark.parametrize("bidir", [False, True], ids=["sim", "bisim"])
-def test_closure_is_closed_under_meets_and_guards(lat, bidir):
-    # the closures a depth 0-2 query runs, on the depth-(d-1) atoms; each
-    # unordered pair is met once, so a wrong skip rule would leave a pairwise
-    # meet or a guard of a returned vector out
-    guard_cls = Iff if bidir else Implies
-    for depth in (1,) if lat is PRODUCT and bidir else (1, 2):
-        for cap in (2, 64):
-            for seed in range(3):
-                a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 40 + seed)
-                ap = random_automaton("B", 3 - seed % 3, ["a", "b"], ("1/3", "1"), 140 + seed)
-                pool = constant_pool(lat, a, ap, depth, cap)
-                codec, tau, steps = _joint(lat, a, ap, pool)
-                seeds = _top_atoms(codec, tau, steps, depth - 1, bidir, pool)
-                items = _closure(codec, seeds, pool, bidir)
-                vecs = list(items)
-                found = set(vecs)
-                assert len(found) == len(vecs)
-                assert {vec for vec, _formula in seeds} <= found
-                for i, u in enumerate(vecs):
-                    assert all(tuple(map(min, u, v)) in found for v in vecs[i + 1:])
-                op = codec.op(bidir)
-                for vec, formula in items.items():
-                    if not isinstance(formula, guard_cls):
-                        for c in map(codec.encode, pool):
-                            assert tuple(op(c, d) for d in vec) in found
-
-
-@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ], ids=lambda lat: lat.kind)
-@pytest.mark.parametrize("bidir", [False, True], ids=["sim", "bisim"])
-def test_packed_closure_matches_tuple_closure(lat, bidir, monkeypatch):
-    # integer codes run packed into thermometer ints; with packing off (as
-    # for codes wider than _PACK_TOP) the same vectors, order and formulas result
-    for depth in (1, 2):
-        for seed in (1, 2):  # seed 0 at depth 2 closes to 7787 Lukasiewicz vectors
-            a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 60 + seed)
-            ap = random_automaton("B", 3 - seed % 3, ["a", "b"], ("1/3", "1"), 160 + seed)
-            pool = constant_pool(lat, a, ap, depth, 64 if lat is GOEDEL else 2)
-            codec, tau, steps = _joint(lat, a, ap, pool)
-            seeds = _top_atoms(codec, tau, steps, depth - 1, bidir, pool)
-            packed = list(_closure(codec, seeds, pool, bidir).items())
-            monkeypatch.setattr(hmlogic, "_PACK_TOP", 0)
-            assert list(_closure(codec, seeds, pool, bidir).items()) == packed
-            monkeypatch.undo()
-
-
-@contextlib.contextmanager
-def _time_limit(seconds: int):
-    def overrun(_signum, _frame):
-        raise TimeoutError(f"ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_former_timeout_pair_is_decided():
     # the explore benchmark's gen-90000 hm-degree job, built like
-    # bench/workloads.build_pair; it took about 10 s before the closure ran
-    # on codes and met each pair once
+    # bench/workloads.build_pair
     a = random_automaton("A", 4, ("a", "b"), ("1/2", "1"), 90000, density=0.4)
     ap = random_automaton("B", 4, ("a", "b"), ("1/2", "1"), 90000 + 1_000_003, density=0.4)
 
-    with _time_limit(10):
+    with time_limit(10):
         relation = hm_degree_bounded(GOEDEL, a, ap, 2, "bisim")
     assert relation_json_array(relation) == []
 
 
 def test_depth_past_saturation_costs_nothing(aut_a, aut_ap):
     # the atoms stop changing within 10 rounds, so a million rounds are the
-    # same rounds; each one used to rerun the same closure
+    # same rounds
     expected = hm_degree_bounded(LUKASIEWICZ, aut_a, aut_ap, 10, "bisim")
-    with _time_limit(10):
+    with time_limit(10):
         relation = hm_degree_bounded(LUKASIEWICZ, aut_a, aut_ap, 10 ** 6, "bisim")
     assert relation == expected
 
 
 def _every_round(lat, a, ap, rounds, bidir, pool) -> list:
-    """The atom vectors after 0..rounds rounds of _top_atoms' loop, every
-    round run."""
+    """The atom vectors after 0..rounds witness rounds, every round run."""
     codec, tau, steps = _joint(lat, a, ap, pool)
     atoms, out = [(tau, TAU)], []
     for _ in range(rounds + 1):
         out.append([vec for vec, _formula in atoms])
-        reps = _closure(codec, atoms, pool, bidir)
-        atoms = [(tau, TAU)] + [(_back_step(codec, edges, vec), Step(s, formula))
-                                for vec, formula in reps.items() for s, edges in steps]
+        atoms = [(tau, TAU), *_witness_round(codec, steps, atoms, len(a.states), bidir, pool)]
     return out
 
 
 @pytest.mark.parametrize("gen,n,bidir", [
-    (70058, 4, False),      # from round 10 on the rounds cycle with period 2
-    (70036, 3, True),       # from round 7 on the rounds cycle with period 6
+    (70058, 4, False),      # from round 4 on every round is the same
+    (70036, 3, True),       # from round 4 on the rounds cycle with period 2
 ])
 def test_repeating_rounds_are_cut_exactly(gen, n, bidir):
     # explore benchmark hm-mid pairs, built like bench/workloads.build_pair
@@ -287,12 +221,12 @@ def test_repeating_rounds_are_cut_exactly(gen, n, bidir):
     rounds = _every_round(GOEDEL, a, ap, 21, bidir, pool)
     joint = _joint(GOEDEL, a, ap, pool)
     for depth in range(22):
-        assert [vec for vec, _f in _top_atoms(*joint, depth, bidir, pool)] == rounds[depth]
+        assert [vec for vec, _f in _top_atoms(*joint, depth, bidir, pool, n)] == rounds[depth]
     for depth in (10 ** 6, 10 ** 6 + 1, 10 ** 6 + 3):
-        # both periods divide 6, and the rounds from 10 on are in the cycle
-        same = 21 - (21 - depth) % 6
-        with _time_limit(10):
-            atoms = _top_atoms(*joint, depth, bidir, pool)
+        # both periods divide 2, and the rounds from 4 on are in the cycle
+        same = 21 - (21 - depth) % 2
+        with time_limit(10):
+            atoms = _top_atoms(*joint, depth, bidir, pool, n)
         assert [vec for vec, _f in atoms] == rounds[same]
 
 
@@ -319,16 +253,14 @@ def test_depth_zero_matches_terminal_residua(aut_a, aut_ap):
 
 @pytest.mark.parametrize("lat,bidir,depths", [
     (GOEDEL, False, 3), (GOEDEL, True, 3), (LUKASIEWICZ, False, 2), (LUKASIEWICZ, True, 2),
-    (PRODUCT, False, 2),
-    (PRODUCT, True, 1),     # the product bisimulation closure does not finish at depth 1
+    (PRODUCT, False, 2), (PRODUCT, True, 1),
+    (LUKASIEWICZ, False, 4), (LUKASIEWICZ, True, 4), (PRODUCT, True, 3),
 ], ids=lambda v: getattr(v, "kind", v))
 def test_bounded_degree_is_the_refinement_iterate(lat, bidir, depths):
-    # the claim hmlogic's docstring states as tested: depth d reads iterate d
-    # of the refinement sweep, or its last iterate once they stabilize
+    # the theorem in hmlogic's docstring: depth d reads iterate d of the
+    # refinement sweep, or its last iterate once they stabilize
     kind = ("sim", "bisim")[bidir]
     for seed in range(25):
-        # degrees in quarters: Lukasiewicz bisimulation closures over twelfths
-        # take seconds per pair at depth 1
         a = random_automaton("A", 2 + seed % 2, ("a", "b"), ("1/2", "1"), 500 + seed)
         ap = random_automaton("B", 3 - seed % 2, ("a", "b"), ("1/4", "1/2", "1"), 600 + seed)
         iterates = list(itertools.islice(refinement_steps(lat, a, ap, kind), depths))
