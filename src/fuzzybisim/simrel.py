@@ -34,6 +34,55 @@ iterates decrease, phi_0 /\\ G(phi_k) = phi_k /\\ G(phi_k), and F vanishes
 off phi_k's support.  `iterations` counts the sweeps, the last one
 included.  Exact arithmetic makes that test a plain equality.
 
+On the product lattice a run can settle into a decay that never
+stabilizes: the same constraints keep setting the same pairs while their
+degrees shrink geometrically.  _greatest jumps such a run to its cap
+exactly.  At sweeps k = 8, 16, 32, ... it records the policy at phi_k
+(policy.record, read off refine's own composition and meet): for each
+pair i of the support S, the term that set F(phi_k)(i), either phi_0(i)
+or a constraint with an edge attaining its composition, worth
+f_i = g_i * phi_k(j_i) with g_i = delta'_s(x', y') / delta_s(x, y); and
+for every constraint of i one edge attaining its composition.  A jump
+needs F(phi_k) > 0 on S.
+
+* Policy map.  M(psi)(i) is phi_0(i) or g_i * psi(j_i) on S, and 0 off S.
+  Following each pair's j_i gives a functional graph on S; its tail t0
+  (the steps before every path has met a cycle or a phi_0 term) is at most
+  |S|, and its period P is the lcm of its cycle lengths.  So for t >= t0,
+  psi_t = M^t(phi_k) has psi_{t+P}(i) = r_i * psi_t(i) with a fixed ratio
+  r_i > 0 per pair.
+* Saddle condition at psi.  Let psi > 0 on S and f_i = M(psi)(i).  If for
+  every i in S (a) f_i <= phi_0(i), (b) every edge of the chosen
+  constraint gives (delta'/delta) * psi(j) <= f_i, and (c) every
+  constraint's recorded edge gives at least f_i, then F(psi) = M(psi): by
+  (b) the chosen constraint's composition is delta * f_i, so as f_i <= 1
+  its residuum is f_i; by (c) every other residuum is at least f_i; with
+  (a) their meet with phi_0(i) is f_i.  Off S both are 0.
+* Why endpoint checks suffice.  psi_t is positive on S, a product of
+  positive factors and phi_k or phi_0.  On each residue class
+  t = t0 + c + P*m every term in (a)-(c), psi_t(j) and f_i = psi_{t+1}(i)
+  alike, is A * rho^m with A, rho > 0, so each comparison is monotone in
+  m.  Holding at the class's least and greatest m, it holds between.  So
+  with T = cap - 1 - k the jump checks t = 0 ... t0+P-1 by iterating M,
+  and the last t of each class below T by iterating M again, at most 2P
+  steps, from psi_{t0+mP} computed directly as psi_{t0} * r^m.  Then
+  F^t(phi_k) = psi_t up to t = T by induction, and the last sweep is an
+  ordinary refine, so `converged` is decided as without the jump.
+* Why no sweep inside the jump converges.  If some r_i != 1 the M-orbit
+  never repeats: psi_a = psi_{a+1} would keep it constant, making every
+  r_i 1.  The sweeps stop only on a repeat, so they too reach the cap.  If
+  every r_i is 1 the run keeps sweeping.
+* A trap.  Checking F(psi) == M(psi) at the endpoints is not enough: a
+  non-chosen constraint's maximum over two edges is no A * rho^m and can
+  dip below f_i between them.  Fixing one edge per constraint is what
+  makes each comparison monotone; it bounds that maximum from below, so
+  (c) still suffices.
+* When it does not apply.  If a check fails, or checking would cost more
+  sweeps than were run or remain (t0 + 3P > min(k, T)), the run keeps
+  sweeping.  Attempts double their spacing, so refused ones cost a bounded
+  share of the sweeps.  Equal terms at phi_k are told apart by their
+  values at F(phi_k).
+
 As phi is a bisimulation when phi and phi^-1 are simulations, a sweep
 reads phi as one relation on the joint states of A and A' (_joint), whose
 one composition with the joint transitions serves both (see _Kernel).
@@ -67,7 +116,6 @@ over the union, with a missing symbol contributing the empty relation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -298,25 +346,32 @@ class _Kernel:
         op = self.codec.op(bidir)
         self.phi0 = [op(t, tp) for t in tau[:n] for tp in tau[n:]]
 
-    def refine(self, phi: list) -> list:
-        """F(phi) = phi_0 /\\ G(phi) on phi's support, 0 elsewhere: one Jacobi
-        sweep, every pair computed from phi alone."""
+    def compose(self, phi: list, support: list) -> list:
+        """Every comp_s = delta_s o phi~, flat, for phi with the given support."""
         n, m, bidir = len(self.a.states), len(self.ap.states), self.bidir
-        size, tnorm, residuum, zero = n + m, self.codec.tnorm, self.codec.residuum, self.codec.zero
-        support = [i for i, v in enumerate(phi) if v]
+        size, tnorm = n + m, self.codec.tnorm
         rows = [[] for _ in range(size)]        # v -> [(w, phi~(v, w))]
         for i in support:
             y, yp = divmod(i, m)
             rows[n + yp].append((y, phi[i]))
             if bidir:
                 rows[y].append((n + yp, phi[i]))
-        comp = [zero] * (len(self.edges) * size * size)
+        comp = [self.codec.zero] * (len(self.edges) * size * size)
         for edges in self.edges:
             for base, v, d in edges:
                 for w, e in rows[v]:
                     c = tnorm(d, e)
                     if c > comp[base + w]:
                         comp[base + w] = c
+        return comp
+
+    def refine(self, phi: list) -> list:
+        """F(phi) = phi_0 /\\ G(phi) on phi's support, 0 elsewhere: one Jacobi
+        sweep, every pair computed from phi alone."""
+        n, m, bidir = len(self.a.states), len(self.ap.states), self.bidir
+        size, residuum, zero = n + m, self.codec.residuum, self.codec.zero
+        support = [i for i, v in enumerate(phi) if v]
+        comp = self.compose(phi, support)
         nxt = [zero] * (n * m)
         phi0, succ = self.phi0, self.succ
         for i in support:
@@ -375,9 +430,17 @@ def refinement_steps(lat: ResiduatedLattice, a: FuzzyAutomaton,
 def _greatest(lat, a, ap, bidir: bool, max_iters) -> SimReport:
     cap = resolve_max_iters(max_iters)
     kernel = _Kernel(lat, a, ap, bidir)
-    steps = kernel.iterates()
-    cur, sweeps, converged = next(steps), 0, False
-    for sweeps, nxt in enumerate(itertools.islice(steps, cap), 1):
+    cur, sweeps, converged = kernel.phi0, 0, False
+    attempt = 8 if lat.kind == "product" else None      # then at 16, 32, ...
+    while sweeps < cap and not converged:
+        if sweeps == attempt:
+            from .policy import jump    # loaded only by the product runs that get here
+            attempt *= 2
+            jumped = jump(kernel, cur, sweeps, cap - 1 - sweeps)
+            if jumped is not None:
+                cur, sweeps = jumped, cap - 1
+        nxt = kernel.refine(cur)
+        sweeps += 1
         converged, cur = nxt == cur, nxt
     relation = kernel.relation(cur)
     norm = (bisim_norm if bidir else sim_norm)(lat, a, ap, relation)

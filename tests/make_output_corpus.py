@@ -33,7 +33,9 @@ POOLS = (["0", "1/4", "1/2", "3/4", "1"], ["0.3", "0.5", "0.8", "1"], ["0", "1/3
 # symbol only one side knows
 SHAPES = ((2, "ab", 3, "a"), (3, "a", 2, "ab"), (3, "ab", 3, "ac"), (4, "ab", 2, "b"),
           (2, "abc", 4, "ab"), (4, "a", 4, "ab"), (3, "b", 3, "ab"), (4, "ab", 3, "bc"))
-# a product fixpoint may decay for 10 000 sweeps; the corpus stops it early
+# a product fixpoint may decay for 10 000 sweeps: most product cases stop it
+# early, and one default-cap greatest-sim and greatest-bisim case per pair
+# covers the runs that settle into a repeating decay and reach the full cap
 PRODUCT_CAP = "50"
 
 MALFORMED = {
@@ -106,6 +108,8 @@ def _pair_cases(cases: dict, tag: str, a: str, ap: str, rels: dict, formulas, wo
                 for iters in ("0", "2"):
                     cases[f"{pre}/{cmd}/iters{iters}"] = [cmd, a, ap, *common,
                                                           "--max-iters", iters]
+                if cap and out == "json":
+                    cases[f"{pre}/{cmd}/default-cap"] = [cmd, a, ap, *common]
             for kind in ("sim", "bisim") if heyting else ("sim",):
                 cases[f"{pre}/max-lambda/{kind}"] = ["max-lambda", a, ap, *common,
                                                      "--kind", kind, *cap]

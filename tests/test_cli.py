@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -218,6 +219,24 @@ def test_unconverged_report_past_the_digit_limit(capsys, tmp_path):
     assert report_to_obj(report) == obj
 
 
+def test_product_decay_reaches_a_huge_cap_in_bounded_time(capsys, tmp_path):
+    # corpus pair r1 settles into a repeating decay: the jump reaches sweep
+    # 60 000 in a few sweeps and prints what 60 000 plain sweeps print
+    from make_output_corpus import CORPUS
+    inputs = json.loads(CORPUS.read_text())["inputs"]
+    for name in ("r1-a.json", "r1-b.json"):
+        (tmp_path / name).write_text(inputs[name])
+    with time_limit(5):
+        code, out, _ = run(capsys, "greatest-sim", str(tmp_path / "r1-a.json"),
+                           str(tmp_path / "r1-b.json"), "--lattice", "product",
+                           "--max-iters", "60000")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["iterations"] == 60000 and obj["converged"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5fe0e9c394b58240e0e7bd6a620d87eb8e42e1c95f824dccec8d57d40e942093")
+
+
 def test_greatest_bisim_text(capsys):
     code, out, _ = run(capsys, "greatest-bisim", A, AP, "--output", "text")
     assert code == 0
@@ -375,7 +394,8 @@ def run(argv):
 
 for argv in json.loads(sys.argv[1]):
     assert run(argv)[0] == 0, argv
-    loaded = sorted({"fuzzybisim.hmlogic", "dataclasses"} & set(sys.modules))
+    # nor the product jump's module, which only product fixpoints load
+    loaded = sorted({"fuzzybisim.hmlogic", "fuzzybisim.policy", "dataclasses"} & set(sys.modules))
     assert not loaded, (argv[0], loaded)
 results = [run(argv) for argv in json.loads(sys.argv[2])]
 # the formula nodes and reports are NamedTuples: not even hmlogic loads these

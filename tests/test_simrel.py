@@ -596,3 +596,101 @@ def test_preservation_saturates_on_finite_lattices(lat):
                 report = verify_preservation(lat, a, ap, phi, 10**6, kind=kind)
                 assert time.perf_counter() - start < 1
                 assert report == verify_preservation(lat, a, ap, phi, 64, kind=kind)
+
+
+# the pools of the product jump differential: tenths, and two with finer ratios
+_JUMP_POOLS = (tuple(f"{i}/10" for i in range(1, 11)), ("1/3", "2/5", "7/10", "1"),
+               ("1/4", "1/2", "9/10", "1"))
+_JUMP_CAPS = (0, 1, 2, 37, 200)
+
+
+def test_product_jump_matches_plain_sweeps(monkeypatch):
+    """greatest_fuzzy_* on product reports what capped plain sweeps give,
+    whether or not a run jumps; the family holds taken and refused jumps."""
+    from fuzzybisim import policy
+    outcomes = []
+
+    def counted(*args):
+        jumped = jump(*args)
+        outcomes.append(jumped is not None)
+        return jumped
+
+    jump = policy.jump
+    monkeypatch.setattr(policy, "jump", counted)
+    for seed in range(24):
+        pool = _JUMP_POOLS[seed % 3]
+        a = random_automaton("A", 2 + seed % 4, ["a", "b"], pool, 3000 + seed, density=0.5)
+        ap = random_automaton("B", 2 + seed // 4 % 4, ["a", "b"], pool, 4000 + seed,
+                              density=0.5)
+        for greatest, kind, norm in ((greatest_fuzzy_simulation, "sim", sim_norm),
+                                     (greatest_fuzzy_bisimulation, "bisim", bisim_norm)):
+            steps = refinement_steps(PRODUCT, a, ap, kind)
+            iterates = [next(steps), *itertools.islice(steps, max(_JUMP_CAPS))]
+            for cap in _JUMP_CAPS:
+                sweeps = min(cap, len(iterates) - 1)
+                relation = iterates[sweeps]
+                report = greatest(PRODUCT, a, ap, max_iters=cap)
+                assert report.relation == relation, (seed, kind, cap)
+                assert report.norm == norm(PRODUCT, a, ap, relation)
+                assert report.iterations == sweeps
+                assert report.converged == (sweeps > 0 and iterates[sweeps - 1] == relation)
+    assert True in outcomes and False in outcomes
+
+
+@pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+def test_policy_reproduces_every_iterate(lat):
+    """Re-evaluating F from the recorded choices gives refine's codes: each
+    constraint's recorded edge attains its composition, and the chosen term
+    (phi_0 or a constraint) is the meet of them all."""
+    from fuzzybisim.policy import record
+    from fuzzybisim.simrel import _Kernel
+    for seed in range(12):
+        a = random_automaton("A", 2 + seed % 3, ["a", "b"], _JUMP_POOLS[seed % 3], 5000 + seed,
+                             density=0.5)
+        ap = random_automaton("B", 2 + seed // 3 % 3, ["a", "b"], _JUMP_POOLS[seed % 3],
+                              6000 + seed, density=0.5)
+        for bidir in (False, True):
+            kernel = _Kernel(lat, a, ap, bidir)
+            tnorm, residuum, zero = kernel.codec.tnorm, kernel.codec.residuum, kernel.codec.zero
+            for phi in itertools.islice(kernel.iterates(), 30):
+                nxt = kernel.refine(phi)
+                policy = record(kernel, phi)
+                assert [i for i, _c, _cons in policy] == [i for i, v in enumerate(phi) if v]
+                for i, chosen, constraints in policy:
+                    values = []
+                    for d, edges, w in constraints:
+                        comp = max((tnorm(e, phi[j]) for e, j in edges), default=zero)
+                        assert comp == (zero if w is None else tnorm(edges[w][0],
+                                                                     phi[edges[w][1]]))
+                        values.append(residuum(d, comp))
+                    assert nxt[i] == (kernel.phi0[i] if chosen is None else values[chosen])
+                    assert nxt[i] == min(kernel.phi0[i], *values)
+
+
+def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
+    """x' reaches y1' at 1 and y2' at 1/10^6; phi(y, y1') halves every sweep and
+    phi(y, y2') loses a tenth, so the y2' edge overtakes near sweep 24.  The
+    policies at sweeps 8 and 16 choose y1' and are refused; the one at 32 jumps.
+    (x, w') reads (y, x') one sweep late, so a wrong jump would show."""
+    from fuzzybisim import policy
+    a = FuzzyAutomaton("A", ["x", "y"], ["a"], {("x", "a", "y"): "1", ("y", "a", "y"): "1"},
+                       {"x": "1"}, {"x": "1", "y": "1"})
+    ap = FuzzyAutomaton("B", ["w'", "x'", "y1'", "y2'"], ["a"],
+                        {("w'", "a", "x'"): "1", ("x'", "a", "y1'"): "1",
+                         ("x'", "a", "y2'"): "1/1000000", ("y1'", "a", "y1'"): "1/2",
+                         ("y2'", "a", "y2'"): "9/10"},
+                        {"x'": "1"}, {"w'": "1", "x'": "1", "y1'": "1", "y2'": "1"})
+    outcomes = []
+
+    def counted(kernel, phi, done, steps):
+        jumped = jump(kernel, phi, done, steps)
+        outcomes.append((done, jumped is not None))
+        return jumped
+
+    jump = policy.jump
+    monkeypatch.setattr(policy, "jump", counted)
+    report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=200)
+    steps = refinement_steps(PRODUCT, a, ap, "sim")
+    assert report.relation == next(itertools.islice(steps, 200, None))
+    assert (report.iterations, report.converged) == (200, False)
+    assert outcomes == [(8, False), (16, False), (32, True)]
