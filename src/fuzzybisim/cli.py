@@ -167,8 +167,9 @@ def _parse_word(text: str) -> tuple:
     return tuple(parts)
 
 
-def _emit(args, obj, text_lines) -> None:
-    _print_lines([json.dumps(obj, indent=2)] if args.output == "json" else text_lines)
+def _emit(args, obj, text) -> None:
+    """Print obj as JSON, or as the lines text(obj) reads off its already-formatted values."""
+    _print_lines([json.dumps(obj, indent=2)] if args.output == "json" else text(obj))
 
 
 def _print_lines(lines) -> None:
@@ -182,9 +183,16 @@ def _print_lines(lines) -> None:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
+def _entry_lines(entries, indent="") -> list:
+    """Text lines of a relation_json_array list."""
+    return [f"{indent}{e['from']} {e['to']} {e['degree']}" for e in entries]
+
+
+_VERDICT = {True: "PASS", False: "FAIL"}
+
+
 def _emit_degree(args, degree) -> int:
-    text = format_degree(degree)
-    _emit(args, text, [text])
+    _emit(args, format_degree(degree), lambda text: [text])
     return 0
 
 
@@ -193,42 +201,30 @@ def _cmd_lang(args, lat, aut) -> int:
 
 
 def _cmd_check(args, lat, a, ap, phi) -> int:
-    lam = None
-    if args.lam is not None:
+    lam = () if args.lam is None else (parse_degree(args.lam),)
+    if lam:
         mode = "lambda"
-        lam = parse_degree(args.lam)
-        check = (check_lambda_approx_bisimulation if args.bidir
-                 else check_lambda_approx_simulation)
-        ok = check(lat, a, ap, phi, lam)
+        check = check_lambda_approx_bisimulation if args.bidir else check_lambda_approx_simulation
     elif args.crisp:
         mode = "crisp"
         check = check_crisp_bisimulation if args.bidir else check_crisp_simulation
-        ok = check(lat, a, ap, phi)
     else:
         mode = "fuzzy"
         check = check_fuzzy_bisimulation if args.bidir else check_fuzzy_simulation
-        ok = check(lat, a, ap, phi)
-    noun = _KIND_NAMES[args.bidir]
-    obj = {"kind": noun, "mode": mode, "ok": ok}
-    if lam is not None:
-        obj["lambda"] = format_degree(lam)
-    verdict = "PASS" if ok else "FAIL"
-    _emit(args, obj, [f"{noun} check ({mode}): {verdict}"])
-    return 0 if ok else 1
+    obj = {"kind": _KIND_NAMES[args.bidir], "mode": mode, "ok": check(lat, a, ap, phi, *lam)}
+    if lam:
+        obj["lambda"] = format_degree(lam[0])
+    _emit(args, obj, lambda o: [f"{o['kind']} check ({o['mode']}): {_VERDICT[o['ok']]}"])
+    return 0 if obj["ok"] else 1
 
 
 def _cmd_greatest(args, lat, a, ap) -> int:
     compute = greatest_fuzzy_bisimulation if args.bidir else greatest_fuzzy_simulation
-    report = compute(lat, a, ap, max_iters=args.max_iters)
-    obj = report_to_obj(report)
-    lines = [f"greatest fuzzy {report.kind}",
-             f"norm: {format_degree(report.norm)}",
-             f"iterations: {report.iterations}",
-             f"converged: {str(report.converged).lower()}"]
-    for (x, xp), d in report.relation.items():
-        lines.append(f"  {x} {xp} {format_degree(d)}")
-    _emit(args, obj, lines)
-    return 0 if report.converged else 3
+    obj = report_to_obj(compute(lat, a, ap, max_iters=args.max_iters))
+    _emit(args, obj, lambda o: [
+        f"greatest fuzzy {o['kind']}", f"norm: {o['norm']}", f"iterations: {o['iterations']}",
+        f"converged: {json.dumps(o['converged'])}", *_entry_lines(o["relation"], "  ")])
+    return 0 if obj["converged"] else 3
 
 
 def _cmd_norm(args, lat, a, ap, phi) -> int:
@@ -236,32 +232,25 @@ def _cmd_norm(args, lat, a, ap, phi) -> int:
 
 
 def _cmd_verify_preservation(args, lat, a, ap, phi) -> int:
-    report = verify_preservation(lat, a, ap, phi, args.max_len, kind=args.kind)
-    obj = preservation_to_obj(report)
-    ok = report.pointwise_ok and report.global_ok
-    lines = [f"pointwise: {'PASS' if report.pointwise_ok else 'FAIL'}",
-             f"global: {'PASS' if report.global_ok else 'FAIL'}",
-             f"exact: {str(report.exact).lower()}"]
-    _emit(args, obj, lines)
-    return 0 if ok else 1
+    obj = preservation_to_obj(verify_preservation(lat, a, ap, phi, args.max_len, kind=args.kind))
+    _emit(args, obj, lambda o: [f"pointwise: {_VERDICT[o['pointwise_ok']]}",
+                                f"global: {_VERDICT[o['global_ok']]}",
+                                f"exact: {json.dumps(o['exact'])}"])
+    return 0 if obj["pointwise_ok"] and obj["global_ok"] else 1
 
 
 def _cmd_hm_degree(args, lat, a, ap) -> int:
     _load_hmlogic()
-    rel = hm_degree_bounded(lat, a, ap, args.depth, args.fragment)
-    obj = relation_json_array(rel)
-    lines = [f"{x} {xp} {format_degree(d)}" for (x, xp), d in rel.items()]
-    _emit(args, obj, lines or ["(empty)"])
+    obj = relation_json_array(hm_degree_bounded(lat, a, ap, args.depth, args.fragment))
+    _emit(args, obj, lambda entries: _entry_lines(entries) or ["(empty)"])
     return 0
 
 
 def _cmd_eval_formula(args, lat, aut) -> int:
     _load_hmlogic()
-    formula = parse_formula(args.formula)
-    values = eval_formula(lat, aut, formula)
+    values = eval_formula(lat, aut, parse_formula(args.formula))
     obj = {x: format_degree(values.degree(x)) for x in aut.states}
-    lines = [f"{x}: {format_degree(values.degree(x))}" for x in aut.states]
-    _emit(args, obj, lines)
+    _emit(args, obj, lambda degrees: [f"{x}: {d}" for x, d in degrees.items()])
     return 0
 
 

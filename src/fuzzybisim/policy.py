@@ -2,14 +2,78 @@
 
 `record` reads the policy at an iterate off a `simrel._Kernel`'s own
 composition and meet, in every lattice.  `jump` is the product fixpoint's
-certified jump to its cap; the simrel docstring states it with its proof.
-Only product fixpoints that reach a jump attempt import this module, so no
-other command compiles or loads it.
+certified jump to its cap.  Only product fixpoints that reach a jump attempt
+import this module, so no other command compiles or loads it.
+
+On the product lattice a run can settle into a decay that never
+stabilizes: the same constraints keep setting the same pairs while their
+degrees shrink geometrically.  _greatest jumps such a run to its cap
+exactly.  At sweeps k = 8, 16, 32, ... it records the policy at phi_k
+(record, read off refine's own composition and meet): for each
+pair i of the support S, the term that set F(phi_k)(i), either phi_0(i)
+or a constraint with an edge attaining its composition, worth
+f_i = g_i * phi_k(j_i) with g_i = delta'_s(x', y') / delta_s(x, y); and
+for every constraint of i one edge attaining its composition.  A jump
+needs F(phi_k) > 0 on S.
+
+* Policy map.  M(psi)(i) is phi_0(i) or g_i * psi(j_i) on S, and 0 off S.
+  Following each pair's j_i gives a functional graph on S; its tail t0
+  (the steps before every path has met a cycle or a phi_0 term) is at most
+  |S|, and its period P is the lcm of its cycle lengths.  So for t >= t0,
+  psi_t = M^t(phi_k) has psi_{t+P}(i) = r_i * psi_t(i) with a fixed ratio
+  r_i > 0 per pair.
+* Saddle condition at psi.  Let psi > 0 on S and f_i = M(psi)(i).  If for
+  every i in S (a) f_i <= phi_0(i), (b) every edge of the chosen
+  constraint gives (delta'/delta) * psi(j) <= f_i, and (c) every
+  constraint's recorded edge gives at least f_i, then F(psi) = M(psi): by
+  (b) the chosen constraint's composition is delta * f_i, so as f_i <= 1
+  its residuum is f_i; by (c) every other residuum is at least f_i; with
+  (a) their meet with phi_0(i) is f_i.  Off S both are 0.
+* Why endpoint checks suffice.  psi_t is positive on S, a product of
+  positive factors and phi_k or phi_0.  On each residue class
+  t = t0 + c + P*m every term in (a)-(c), psi_t(j) and f_i = psi_{t+1}(i)
+  alike, is A * rho^m with A, rho > 0, so each comparison is monotone in
+  m.  Holding at the class's least and greatest m, it holds between.  So
+  with T = cap - 1 - k the jump checks t = 0 ... t0+P-1 by iterating M,
+  and the last t of each class below T by iterating M again, at most 2P
+  steps, from psi_{t0+mP} computed directly as psi_{t0} * r^m.  Then
+  F^t(phi_k) = psi_t up to t = T by induction, and the last sweep is an
+  ordinary refine, so `converged` is decided as without the jump.
+* Why no sweep inside the jump converges.  If some r_i != 1 the M-orbit
+  never repeats: psi_a = psi_{a+1} would keep it constant, making every
+  r_i 1.  The sweeps stop only on a repeat, so they too reach the cap.  If
+  every r_i is 1 the run keeps sweeping.
+* A trap.  Checking F(psi) == M(psi) at the endpoints is not enough: a
+  non-chosen constraint's maximum over two edges is no A * rho^m and can
+  dip below f_i between them.  Fixing one edge per constraint is what
+  makes each comparison monotone; it bounds that maximum from below, so
+  (c) still suffices.
+* When it does not apply.  If a check fails, or checking would cost more
+  sweeps than were run or remain (t0 + 3P > min(k, T)), the run keeps
+  sweeping.  Attempts double their spacing, so refused ones cost a bounded
+  share of the sweeps.  Equal terms at phi_k are told apart by their
+  values at F(phi_k).
+* When the target is too large.  Before raising the ratios to the m-th
+  power the jump estimates the target's size; past MAX_JUMP_BITS it
+  raises NonConvergenceError, as the run is already proved not to
+  stabilize within its cap.
 """
 
 from __future__ import annotations
 
 import math
+
+from .errors import NonConvergenceError
+from .simrel import _KIND_NAMES
+
+# The most bits a numerator or denominator of the jumped iterate may take, by
+# the estimate turns * (largest bit length of a ratio's terms).  A run past it
+# has already been proved unable to stabilize within its cap, and writing its
+# iterate out would outgrow memory or printing time: corpus pair r1's product
+# simulation is estimated at 3.0 M bits at a cap of 10^6 (printed in 17 s),
+# 30 M at 10^7 and 3 * 10^12 (375 GB) at 10^12.  Such a run ends in
+# NonConvergenceError instead.
+MAX_JUMP_BITS = 1 << 24
 
 
 def record(kernel, phi: list) -> list:
@@ -51,7 +115,8 @@ def record(kernel, phi: list) -> list:
 def jump(kernel, phi: list, done: int, steps: int):
     """The iterate `steps` sweeps after phi = phi_done, when the policy at phi
     provably sets every sweep in between, else None.  Product codec only,
-    whose codes are the degrees themselves."""
+    whose codes are the degrees themselves.  Raises NonConvergenceError when
+    that iterate would take more than MAX_JUMP_BITS."""
     policy = record(kernel, phi)
     if any(w is None for _i, _c, constraints in policy for _d, _e, w in constraints):
         return None                     # some F(phi)(i) is 0: the support shrinks
@@ -109,6 +174,11 @@ def jump(kernel, phi: list, done: int, steps: int):
         return None                     # periodic: the plain sweeps stabilize
     # from psi_{t0 + turns * P} on, the window holds every class's last t before steps
     turns = (steps - period - tail) // period
+    bits = turns * max(max(r.numerator.bit_length(), r.denominator.bit_length()) for r in ratio)
+    if bits > MAX_JUMP_BITS:
+        raise NonConvergenceError(
+            f"greatest {_KIND_NAMES[kernel.bidir]} cannot stabilize within {done + steps + 1} "
+            f"sweeps, and its degrees there would take about {bits} bits")
     psi = [p * r ** turns for p, r in zip(base, ratio)]
     for _ in range(steps - tail - turns * period):
         psi = step(psi)

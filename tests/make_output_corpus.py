@@ -171,6 +171,15 @@ def build() -> tuple:
         outputs = ("json", "text") if k == 0 else ("json",)
         _pair_cases(cases, tag, pa, pap, rels, formulas, words, outputs)
 
+    # the fixture pair's results are never empty: r0's are in godel and product,
+    # so these cover the header-only report and hm-degree's "(empty)" line
+    for lat in ("godel", "product"):
+        common = ["@r0-a.json", "@r0-b.json", "--lattice", lat, "--output", "text"]
+        for cmd in ("greatest-sim", "greatest-bisim"):
+            cases[f"r0/{lat}/text/{cmd}"] = [cmd, *common]
+        cases[f"r0/{lat}/text/hm/sim/3"] = ["hm-degree", *common, "--depth", "3",
+                                            "--fragment", "sim"]
+
     fa, fap, frel = "@ex_a.json", "@ex_a_prime.json", "@fix-gsim.json"
     for name in MALFORMED:
         bad = f"@{name}"

@@ -219,22 +219,64 @@ def test_unconverged_report_past_the_digit_limit(capsys, tmp_path):
     assert report_to_obj(report) == obj
 
 
-def test_product_decay_reaches_a_huge_cap_in_bounded_time(capsys, tmp_path):
-    # corpus pair r1 settles into a repeating decay: the jump reaches sweep
-    # 60 000 in a few sweeps and prints what 60 000 plain sweeps print
+def _r1_files(tmp_path) -> list:
+    """Corpus pair r1, whose product runs settle into a repeating decay."""
     from make_output_corpus import CORPUS
     inputs = json.loads(CORPUS.read_text())["inputs"]
     for name in ("r1-a.json", "r1-b.json"):
         (tmp_path / name).write_text(inputs[name])
+    return [str(tmp_path / "r1-a.json"), str(tmp_path / "r1-b.json")]
+
+
+def test_product_decay_reaches_a_huge_cap_in_bounded_time(capsys, tmp_path):
+    # the jump reaches sweep 60 000 in a few sweeps and prints what 60 000
+    # plain sweeps print
     with time_limit(5):
-        code, out, _ = run(capsys, "greatest-sim", str(tmp_path / "r1-a.json"),
-                           str(tmp_path / "r1-b.json"), "--lattice", "product",
+        code, out, _ = run(capsys, "greatest-sim", *_r1_files(tmp_path), "--lattice", "product",
                            "--max-iters", "60000")
     assert code == 3
     obj = json.loads(out)
     assert obj["iterations"] == 60000 and obj["converged"] is False
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5fe0e9c394b58240e0e7bd6a620d87eb8e42e1c95f824dccec8d57d40e942093")
+
+
+@pytest.mark.parametrize("command", ["greatest-sim", "greatest-bisim"])
+def test_product_decay_past_the_jump_bound_is_non_convergence(capsys, tmp_path, command):
+    # at 10^12 sweeps r1's degrees would take about 10^12 bits each: the run is
+    # proved not to stabilize, so it ends with exit 3 before writing them out
+    with time_limit(5):
+        code, out, err = run(capsys, command, *_r1_files(tmp_path), "--lattice", "product",
+                             "--max-iters", "1000000000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: greatest ") and err.count("\n") == 1
+    assert "cannot stabilize within 1000000000000 sweeps" in err
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["greatest-sim", A, AP, "--lattice", "product"], lambda obj: 1 + len(obj["relation"])),
+    (["hm-degree", A, AP, "--depth", "2", "--fragment", "sim"], len),
+    (["eval-formula", A, "--formula", "<s> (0.7 -> T)"], len),
+])
+def test_each_printed_degree_is_formatted_once(capsys, monkeypatch, argv, printed):
+    # text output reads the JSON object's formatted strings: neither format
+    # builds the other, so each printed degree costs one format_degree call
+    from fuzzybisim import cli, fuzzyrel, lattice, simrel
+    calls = []
+
+    def counted(degree):
+        calls.append(degree)
+        return lattice.format_degree(degree)
+
+    for module in (cli, fuzzyrel, simrel):
+        monkeypatch.setattr(module, "format_degree", counted)
+    code, out, _ = run(capsys, *argv)
+    degrees = printed(json.loads(out))
+    assert code == 0 and degrees > 1 and len(calls) == degrees
+    del calls[:]
+    code, out, _ = run(capsys, *argv, "--output", "text")
+    assert code == 0 and len(calls) == degrees
+    assert all(lattice.format_degree(d) in out for d in calls)
 
 
 def test_greatest_bisim_text(capsys):

@@ -23,6 +23,7 @@ from fuzzybisim import (
     check_lambda_approx_bisimulation,
     check_lambda_approx_simulation,
     ZERO,
+    compose_rel_rel,
     converse,
     distinguishing_formula,
     enumerate_formulas,
@@ -54,6 +55,8 @@ from fuzzybisim.oracle import (
     shrink_to_bisimulation,
     shrink_to_simulation,
 )
+
+from conftest import time_limit
 
 GREATEST_SIM_GODEL = FuzzyRelation({
     ("u", "u'"): "7/10",
@@ -667,6 +670,18 @@ def test_policy_reproduces_every_iterate(lat):
                     assert nxt[i] == min(kernel.phi0[i], *values)
 
 
+def test_product_jump_past_its_bit_bound_raises():
+    # corpus pair r1 decays for ever on product; its iterate at sweep 10^12
+    # would take terabytes, so the jump refuses to write it out
+    from make_output_corpus import CORPUS
+    from fuzzybisim.automata import parse_automaton
+    inputs = json.loads(CORPUS.read_text())["inputs"]
+    a, ap = (parse_automaton(inputs[name]) for name in ("r1-a.json", "r1-b.json"))
+    for greatest in (greatest_fuzzy_simulation, greatest_fuzzy_bisimulation):
+        with time_limit(5), pytest.raises(NonConvergenceError, match="within 1000000000000 "):
+            greatest(PRODUCT, a, ap, max_iters=10 ** 12)
+
+
 def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
     """x' reaches y1' at 1 and y2' at 1/10^6; phi(y, y1') halves every sweep and
     phi(y, y2') loses a tenth, so the y2' edge overtakes near sweep 24.  The
@@ -694,3 +709,103 @@ def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
     assert report.relation == next(itertools.islice(steps, 200, None))
     assert (report.iterations, report.converged) == (200, False)
     assert outcomes == [(8, False), (16, False), (32, True)]
+
+
+_LATTICES = (GOEDEL, LUKASIEWICZ, PRODUCT)
+# product runs may decay for ever: capped here, they cover the jump to the cap
+_METAMORPHIC_CAP = 200
+
+
+def _metamorphic_pair(seed):
+    pool = _JUMP_POOLS[seed % 3]
+    rng = random.Random(7000 + seed)
+    return [random_automaton(name, rng.randint(2, 6), ["a", "b"], pool, 7100 + 2 * seed + k,
+                             density=0.5) for k, name in enumerate("AB")]
+
+
+def _renamed(aut, seed):
+    """aut with its states renamed and listed in a seeded order, and the renaming."""
+    order = list(aut.states)
+    random.Random(seed).shuffle(order)
+    name = {x: f"s{len(order) - k}" for k, x in enumerate(order)}
+    delta = {(name[x], s, name[y]): d for (x, s, y), d in aut.transitions()}
+    return (FuzzyAutomaton(aut.name, [name[x] for x in order], aut.alphabet, delta,
+                           {name[x]: d for x, d in aut.sigma.items()},
+                           {name[x]: d for x, d in aut.tau.items()}), name)
+
+
+@pytest.mark.parametrize("lat", _LATTICES, ids=lambda lat: lat.kind)
+def test_renaming_states_renames_the_greatest_relation(lat, monkeypatch):
+    from fuzzybisim import policy
+    jumps = []
+
+    def counted(*args):
+        jumped = jump(*args)
+        jumps.append(jumped is not None)
+        return jumped
+
+    jump = policy.jump
+    monkeypatch.setattr(policy, "jump", counted)
+    for seed in range(20):
+        a, ap = _metamorphic_pair(seed)
+        (ra, name), (rap, name_p) = _renamed(a, seed), _renamed(ap, 100 + seed)
+        for greatest in (greatest_fuzzy_simulation, greatest_fuzzy_bisimulation):
+            report = greatest(lat, a, ap, max_iters=_METAMORPHIC_CAP)
+            renamed = greatest(lat, ra, rap, max_iters=_METAMORPHIC_CAP)
+            assert renamed.relation == FuzzyRelation(
+                {(name[x], name_p[xp]): d for (x, xp), d in report.relation.items()})
+            assert renamed[1:] == report[1:]        # norm, kind, iterations, converged
+    if lat is PRODUCT:
+        assert True in jumps
+
+
+def _raise_one(aut, seed):
+    """aut with one transition or terminal degree raised to a larger pool degree."""
+    rng = random.Random(seed)
+    pool = sorted({d for _key, d in aut.transitions()} | {ONE})
+    delta, tau = dict(aut.transitions()), dict(aut.tau.items())
+    key = (rng.choice(aut.states), rng.choice(aut.alphabet), rng.choice(aut.states))
+    degrees, key = (delta, key) if rng.random() < 0.75 else (tau, rng.choice(aut.states))
+    degrees[key] = rng.choice([d for d in pool if d > degrees.get(key, ZERO)] or [ONE])
+    return FuzzyAutomaton(aut.name, aut.states, aut.alphabet, delta, aut.sigma, tau)
+
+
+@pytest.mark.parametrize("lat", _LATTICES, ids=lambda lat: lat.kind)
+def test_greatest_simulation_is_monotone_in_a_prime_and_antitone_in_a(lat):
+    # F is monotone in delta' and tau' and antitone in delta and tau, so
+    # every iterate, capped or converged, moves the same way
+    moved = 0
+    for seed in range(30):
+        a, ap = _metamorphic_pair(seed)
+        base = greatest_fuzzy_simulation(lat, a, ap, max_iters=_METAMORPHIC_CAP).relation
+        higher = greatest_fuzzy_simulation(lat, a, _raise_one(ap, 7500 + seed),
+                                           max_iters=_METAMORPHIC_CAP).relation
+        lower = greatest_fuzzy_simulation(lat, _raise_one(a, 7600 + seed), ap,
+                                          max_iters=_METAMORPHIC_CAP).relation
+        assert pointwise_leq(base, higher) and pointwise_leq(lower, base)
+        moved += (higher != base) + (lower != base)
+    assert moved >= 10
+
+
+@pytest.mark.parametrize("lat", [LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
+def test_composed_greatest_relations_are_closed(lat):
+    # criterion 9 checks this closure on godel; here the t-norm composes
+    # degrees strictly below both factors.  An unconverged iterate need not be
+    # a simulation, and an empty composition passes trivially: neither counts
+    checked = 0
+    for seed in range(50):
+        a = _metamorphic_pair(seed)[0]
+        b = _raise_one(a, 7300 + seed)
+        c = _raise_one(b, 7400 + seed)
+        for greatest, check, norm in (
+                (greatest_fuzzy_simulation, check_fuzzy_simulation, sim_norm),
+                (greatest_fuzzy_bisimulation, check_fuzzy_bisimulation, bisim_norm)):
+            ab = greatest(lat, a, b, max_iters=_METAMORPHIC_CAP)
+            bc = greatest(lat, b, c, max_iters=_METAMORPHIC_CAP)
+            if not (ab.converged and bc.converged):
+                continue
+            comp = compose_rel_rel(lat, ab.relation, bc.relation)
+            assert check(lat, a, c, comp)
+            assert norm(lat, a, c, comp) >= lat.tnorm(ab.norm, bc.norm)
+            checked += bool(comp)
+    assert checked >= 30
