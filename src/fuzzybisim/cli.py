@@ -201,21 +201,26 @@ def _cmd_lang(args, lat, aut) -> int:
 
 
 def _cmd_check(args, lat, a, ap, phi) -> int:
-    lam = () if args.lam is None else (parse_degree(args.lam),)
-    if lam:
+    lam = None
+    if args.lam is not None:
         mode = "lambda"
-        check = check_lambda_approx_bisimulation if args.bidir else check_lambda_approx_simulation
+        lam = parse_degree(args.lam)
+        check = (check_lambda_approx_bisimulation if args.bidir
+                 else check_lambda_approx_simulation)
+        ok = check(lat, a, ap, phi, lam)
     elif args.crisp:
         mode = "crisp"
         check = check_crisp_bisimulation if args.bidir else check_crisp_simulation
+        ok = check(lat, a, ap, phi)
     else:
         mode = "fuzzy"
         check = check_fuzzy_bisimulation if args.bidir else check_fuzzy_simulation
-    obj = {"kind": _KIND_NAMES[args.bidir], "mode": mode, "ok": check(lat, a, ap, phi, *lam)}
-    if lam:
-        obj["lambda"] = format_degree(lam[0])
+        ok = check(lat, a, ap, phi)
+    obj = {"kind": _KIND_NAMES[args.bidir], "mode": mode, "ok": ok}
+    if lam is not None:
+        obj["lambda"] = format_degree(lam)
     _emit(args, obj, lambda o: [f"{o['kind']} check ({o['mode']}): {_VERDICT[o['ok']]}"])
-    return 0 if obj["ok"] else 1
+    return 0 if ok else 1
 
 
 def _cmd_greatest(args, lat, a, ap) -> int:
@@ -232,11 +237,12 @@ def _cmd_norm(args, lat, a, ap, phi) -> int:
 
 
 def _cmd_verify_preservation(args, lat, a, ap, phi) -> int:
-    obj = preservation_to_obj(verify_preservation(lat, a, ap, phi, args.max_len, kind=args.kind))
+    report = verify_preservation(lat, a, ap, phi, args.max_len, kind=args.kind)
+    obj = preservation_to_obj(report)
     _emit(args, obj, lambda o: [f"pointwise: {_VERDICT[o['pointwise_ok']]}",
                                 f"global: {_VERDICT[o['global_ok']]}",
                                 f"exact: {json.dumps(o['exact'])}"])
-    return 0 if obj["pointwise_ok"] and obj["global_ok"] else 1
+    return 0 if report.pointwise_ok and report.global_ok else 1
 
 
 def _cmd_hm_degree(args, lat, a, ap) -> int:
@@ -248,7 +254,8 @@ def _cmd_hm_degree(args, lat, a, ap) -> int:
 
 def _cmd_eval_formula(args, lat, aut) -> int:
     _load_hmlogic()
-    values = eval_formula(lat, aut, parse_formula(args.formula))
+    formula = parse_formula(args.formula)
+    values = eval_formula(lat, aut, formula)
     obj = {x: format_degree(values.degree(x)) for x in aut.states}
     _emit(args, obj, lambda degrees: [f"{x}: {d}" for x, d in degrees.items()])
     return 0

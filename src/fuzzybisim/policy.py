@@ -54,21 +54,23 @@ needs F(phi_k) > 0 on S.
   share of the sweeps.  Equal terms at phi_k are told apart by their
   values at F(phi_k).
 * When the target is too large.  Before raising the ratios to the m-th
-  power the jump estimates the target's size; past MAX_JUMP_BITS it
-  raises NonConvergenceError, as the run is already proved not to
-  stabilize within its cap.
+  power the jump estimates the target's size.  Past MAX_JUMP_BITS it
+  checks the last window without computing it: each comparison in
+  (a)-(c), A * rho^m against B * sigma^m, held at m = 0 in the first
+  window, so it holds for every m when rho and sigma order the same way
+  (rho <= sigma for a <=).  If every comparison passes, F^t(phi_k) = psi_t
+  for every t, no sweep up to the cap repeats, and jump returns the
+  estimate for _greatest to raise NonConvergenceError.  Otherwise the run
+  keeps sweeping.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonConvergenceError
-from .simrel import _KIND_NAMES
-
 # The most bits a numerator or denominator of the jumped iterate may take, by
 # the estimate turns * (largest bit length of a ratio's terms).  A run past it
-# has already been proved unable to stabilize within its cap, and writing its
+# whose policy holds up to its cap cannot stabilize within it, and writing its
 # iterate out would outgrow memory or printing time: corpus pair r1's product
 # simulation is estimated at 3.0 M bits at a cap of 10^6 (printed in 17 s),
 # 30 M at 10^7 and 3 * 10^12 (375 GB) at 10^12.  Such a run ends in
@@ -115,8 +117,9 @@ def record(kernel, phi: list) -> list:
 def jump(kernel, phi: list, done: int, steps: int):
     """The iterate `steps` sweeps after phi = phi_done, when the policy at phi
     provably sets every sweep in between, else None.  Product codec only,
-    whose codes are the degrees themselves.  Raises NonConvergenceError when
-    that iterate would take more than MAX_JUMP_BITS."""
+    whose codes are the degrees themselves.  When that iterate would take
+    more than MAX_JUMP_BITS, the estimate in bits instead, if the policy
+    provably holds for ever, else None."""
     policy = record(kernel, phi)
     if any(w is None for _i, _c, constraints in policy for _d, _e, w in constraints):
         return None                     # some F(phi)(i) is 0: the support shrinks
@@ -176,9 +179,13 @@ def jump(kernel, phi: list, done: int, steps: int):
     turns = (steps - period - tail) // period
     bits = turns * max(max(r.numerator.bit_length(), r.denominator.bit_length()) for r in ratio)
     if bits > MAX_JUMP_BITS:
-        raise NonConvergenceError(
-            f"greatest {_KIND_NAMES[kernel.bidir]} cannot stabilize within {done + steps + 1} "
-            f"sweeps, and its degrees there would take about {bits} bits")
+        # each comparison's sides go as the ratios of their pairs, or 1 for a constant
+        for src, _g, _top, lower, upper in rules:
+            rf = 1 if src is None else ratio[src]
+            if rf > 1 or any(ratio[b] < rf for _h, b in lower) \
+                    or any(ratio[b] > rf for _h, b in upper):
+                return None
+        return bits
     psi = [p * r ** turns for p, r in zip(base, ratio)]
     for _ in range(steps - tail - turns * period):
         psi = step(psi)

@@ -394,6 +394,10 @@ def _greatest(lat, a, ap, bidir: bool, max_iters) -> SimReport:
             from .policy import jump    # loaded only by the product runs that get here
             attempt *= 2
             jumped = jump(kernel, cur, sweeps, cap - 1 - sweeps)
+            if isinstance(jumped, int):
+                raise NonConvergenceError(
+                    f"greatest {_KIND_NAMES[bidir]} cannot stabilize within {cap} sweeps, "
+                    f"and its degrees there would take about {jumped} bits")
             if jumped is not None:
                 cur, sweeps = jumped, cap - 1
         nxt = kernel.refine(cur)
@@ -417,11 +421,23 @@ def _converged_greatest(lat, a, ap, bidir: bool, max_iters) -> SimReport:
 
 def greatest_fuzzy_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                               ap: FuzzyAutomaton, max_iters=None) -> SimReport:
+    """The greatest fuzzy simulation of a by ap, or its max_iters-th iterate.
+
+    Raises NonConvergenceError when a product run is proved unable to
+    stabilize within its cap and its iterate there would take more than
+    policy.MAX_JUMP_BITS bits per degree term.
+    """
     return _greatest(lat, a, ap, False, max_iters)
 
 
 def greatest_fuzzy_bisimulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                                 ap: FuzzyAutomaton, max_iters=None) -> SimReport:
+    """The greatest fuzzy bisimulation between a and ap, or its max_iters-th iterate.
+
+    Raises NonConvergenceError when a product run is proved unable to
+    stabilize within its cap and its iterate there would take more than
+    policy.MAX_JUMP_BITS bits per degree term.
+    """
     return _greatest(lat, a, ap, True, max_iters)
 
 

@@ -253,6 +253,31 @@ def test_product_decay_past_the_jump_bound_is_non_convergence(capsys, tmp_path, 
     assert "cannot stabilize within 1000000000000 sweeps" in err
 
 
+def test_converging_run_past_the_jump_bound_keeps_sweeping(capsys, tmp_path):
+    """phi(y, y1') halves every sweep down to phi(y, y3') / 10^6 = 10^-6 and then
+    stays.  The policy at sweep 8 holds for the first window, and the cap puts
+    its jumped iterate past the bit bound, but the y3' edge it leaves aside
+    shrinks slower than the chosen one: the jump is refused, not reported as
+    non-convergence, and the run stabilizes."""
+    a = FuzzyAutomaton("A", ["x", "y"], ["a"], {("x", "a", "y"): "1", ("y", "a", "y"): "1"},
+                       {"x": "1"}, {"x": "1", "y": "1"})
+    ap = FuzzyAutomaton("B", ["w'", "x'", "y1'", "y3'"], ["a"],
+                        {("w'", "a", "x'"): "1", ("x'", "a", "y1'"): "1",
+                         ("y1'", "a", "y1'"): "1/2", ("y1'", "a", "y3'"): "1/1000000",
+                         ("y3'", "a", "y3'"): "1"},
+                        {"x'": "1"}, {"w'": "1", "x'": "1", "y1'": "1", "y3'": "1"})
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa.write_text(serialize_automaton(a))
+    fb.write_text(serialize_automaton(ap))
+    with time_limit(5):
+        code, out, err = run(capsys, "greatest-sim", str(fa), str(fb), "--lattice", "product",
+                             "--max-iters", "100000000")
+    assert (code, err) == (0, "")
+    report = report_from_obj(json.loads(out))
+    assert report.converged and report.relation == list(refinement_steps(PRODUCT, a, ap))[-1]
+    assert report.iterations < 30
+
+
 @pytest.mark.parametrize("argv, printed", [
     (["greatest-sim", A, AP, "--lattice", "product"], lambda obj: 1 + len(obj["relation"])),
     (["hm-degree", A, AP, "--depth", "2", "--fragment", "sim"], len),
