@@ -9,7 +9,7 @@ use of a name it defines, so a command loads only the modules it runs."""
 _SOURCE = {name: module for module, names in {
     "automata": "automata UNBOUNDED FuzzyAutomaton automaton_from_obj automaton_to_obj "
                 "delta_rel lang_degree lang_degree_from_state max_live_word_length "
-                "parse_automaton serialize_automaton words_up_to",
+                "parse_automaton serialize_automaton",
     "errors": "errors InputError NonConvergenceError",
     "fuzzyrel": "fuzzyrel FuzzyRelation FuzzySet compose_rel_rel compose_rel_set "
                 "compose_set_rel compose_set_set converse equality identity_rel "

@@ -12,7 +12,6 @@ with the empty word handled as the n = 0 case sigma o tau.
 from __future__ import annotations
 
 import graphlib
-import itertools
 import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -131,17 +130,6 @@ def _degree_from(lat, aut, front: FuzzySet, word) -> Fraction:
     for s in word:
         front = compose_set_rel(lat, front, delta_rel(aut, s))
     return compose_set_set(lat, front, aut.tau)
-
-
-def words_up_to(aut: FuzzyAutomaton, k: int) -> list:
-    """All words of length <= k, in length-then-lexicographic order."""
-    if k < 0:
-        raise InputError("word length bound must be >= 0")
-    symbols = sorted(aut.alphabet)
-    out: list = [()]
-    for n in range(1, k + 1):
-        out.extend(itertools.product(symbols, repeat=n))
-    return out
 
 
 def max_live_word_length(aut: FuzzyAutomaton, starts=None):

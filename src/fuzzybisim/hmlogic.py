@@ -135,24 +135,22 @@ def _evaluate(lat, aut, w, strict: bool) -> FuzzySet:
 # ---------------------------------------------------------------- enumeration
 
 def constant_pool(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton,
-                  depth: int, cap: int = DEFAULT_POOL_CAP) -> list:
+                  depth: int) -> list:
     """Guard constants for the bounded enumeration.
 
     Every degree occurring in the transition and terminal structure of the
     two automata, plus 0 and 1, closed under tnorm and residuum for `depth`
-    rounds (the meet of two constants is one of them).  The cap is a safety
-    valve on pathological closures; base degrees always survive it before
-    closure values do.
+    rounds (the meet of two constants is one of them).  DEFAULT_POOL_CAP is a
+    safety valve on pathological closures; base degrees always survive it
+    before closure values do.
     """
-    if cap < 2:
-        raise InputError("constant pool cap must be at least 2")
     base = {ZERO, ONE}
     for aut in (a, ap):
         base.update(d for _x, d in aut.tau.items())
         base.update(d for s in aut.alphabet for _pair, d in delta_rel(aut, s).items())
-    pool = sorted(base)[:cap]
+    pool = sorted(base)[:DEFAULT_POOL_CAP]
     for _ in range(max(depth, 0)):
-        room = cap - len(pool)
+        room = DEFAULT_POOL_CAP - len(pool)
         if room <= 0:
             break
         # no meets: min(x, y) is x or y, already in the pool

@@ -19,7 +19,6 @@ from fuzzybisim import (
     max_live_word_length,
     parse_automaton,
     serialize_automaton,
-    words_up_to,
 )
 from fuzzybisim import automata, fuzzyrel, hmlogic, simrel
 from fuzzybisim.errors import InputError
@@ -103,17 +102,6 @@ def test_lang_degree_from_state(aut_a):
     assert lang_degree_from_state(GOEDEL, aut_a, "v", ()) == Fraction(3, 5)
     with pytest.raises(InputError):
         lang_degree_from_state(GOEDEL, aut_a, "z", ())
-
-
-def test_words_up_to():
-    aut = small(alphabet=["b", "a"], delta={})
-    assert words_up_to(aut, 2) == [
-        (), ("a",), ("b",),
-        ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"),
-    ]
-    assert words_up_to(aut, 0) == [()]
-    with pytest.raises(InputError):
-        words_up_to(aut, -1)
 
 
 def test_max_live_word_length(aut_a):

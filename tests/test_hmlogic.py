@@ -148,27 +148,27 @@ def test_guard_constants_read_like_degrees(literal):
         assert parse_formula(format_formula(expected)) == expected
 
 
-def test_constant_pool(aut_a, aut_ap):
+def test_constant_pool(aut_a, aut_ap, monkeypatch):
     pool = constant_pool(GOEDEL, aut_a, aut_ap, depth=1)
     assert pool[0] == ZERO and pool[-1] == ONE
     for d in (Fraction(1, 2), Fraction(3, 5), Fraction(7, 10), Fraction(4, 5)):
         assert d in pool
     assert pool == sorted(pool)
-    capped = constant_pool(PRODUCT, aut_a, aut_ap, depth=3, cap=8)
+    monkeypatch.setattr(hmlogic, "DEFAULT_POOL_CAP", 8)
+    capped = constant_pool(PRODUCT, aut_a, aut_ap, depth=3)
     assert len(capped) <= 8
-    with pytest.raises(InputError):
-        constant_pool(GOEDEL, aut_a, aut_ap, depth=1, cap=1)
 
 
 @pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
 @pytest.mark.parametrize("bidir", [False, True], ids=["sim", "bisim"])
-def test_every_atom_vector_is_its_formula_evaluated(lat, bidir):
+def test_every_atom_vector_is_its_formula_evaluated(lat, bidir, monkeypatch):
     # each atom's joint vector is its formula's degrees on A, then on A'
+    monkeypatch.setattr(hmlogic, "DEFAULT_POOL_CAP", 64 if lat is GOEDEL else 2)
     for depth in (0, 1, 2):
         for seed in range(4):
             a = random_automaton("A", 1 + seed % 3, ["a", "b"], ("1/4", "1/2", "1"), 90 + seed)
             ap = random_automaton("B", 3 - seed % 3, ["a"], ("1/3", "1"), 190 + seed)
-            pool = constant_pool(lat, a, ap, depth, 64 if lat is GOEDEL else 2)
+            pool = constant_pool(lat, a, ap, depth)
             codec, tau, steps = _joint(lat, a, ap, pool)
             atoms = _top_atoms(codec, tau, steps, depth, bidir, pool, len(a.states))
             assert isinstance(atoms, list)
@@ -359,8 +359,7 @@ def test_small_pool_cap_is_still_sound(aut_a, aut_ap, monkeypatch):
     # a truncated pool lacks guards, so the readouts may sit higher, but
     # never below the greatest simulation
     greatest = greatest_fuzzy_simulation(GOEDEL, aut_a, aut_ap).relation
-    pool = constant_pool(GOEDEL, aut_a, aut_ap, 2, cap=4)
-    assert len(pool) == 4
-    monkeypatch.setattr(hmlogic, "constant_pool", lambda *_args: pool)
+    monkeypatch.setattr(hmlogic, "DEFAULT_POOL_CAP", 4)
+    assert len(constant_pool(GOEDEL, aut_a, aut_ap, 2)) == 4
     bounded = hm_degree_bounded(GOEDEL, aut_a, aut_ap, 2, "sim")
     assert pointwise_leq(greatest, bounded)

@@ -14,7 +14,7 @@ from conftest import run_python
 EXPORTS = {
     "automata": ("UNBOUNDED FuzzyAutomaton automaton_from_obj automaton_to_obj delta_rel "
                  "lang_degree lang_degree_from_state max_live_word_length parse_automaton "
-                 "serialize_automaton words_up_to"),
+                 "serialize_automaton"),
     "errors": "InputError NonConvergenceError",
     "fuzzyrel": ("FuzzyRelation FuzzySet compose_rel_rel compose_rel_set compose_set_rel "
                  "compose_set_set converse equality identity_rel is_reflexive is_symmetric "

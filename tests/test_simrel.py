@@ -687,7 +687,6 @@ def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
     phi(y, y2') loses a tenth, so the y2' edge overtakes near sweep 24.  The
     policies at sweeps 8 and 16 choose y1' and are refused; the one at 32 jumps.
     (x, w') reads (y, x') one sweep late, so a wrong jump would show."""
-    from fuzzybisim import policy
     a = FuzzyAutomaton("A", ["x", "y"], ["a"], {("x", "a", "y"): "1", ("y", "a", "y"): "1"},
                        {"x": "1"}, {"x": "1", "y": "1"})
     ap = FuzzyAutomaton("B", ["w'", "x'", "y1'", "y2'"], ["a"],
@@ -695,20 +694,79 @@ def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
                          ("x'", "a", "y2'"): "1/1000000", ("y1'", "a", "y1'"): "1/2",
                          ("y2'", "a", "y2'"): "9/10"},
                         {"x'": "1"}, {"w'": "1", "x'": "1", "y1'": "1", "y2'": "1"})
-    outcomes = []
-
-    def counted(kernel, phi, done, steps):
-        jumped = jump(kernel, phi, done, steps)
-        outcomes.append((done, jumped is not None))
-        return jumped
-
-    jump = policy.jump
-    monkeypatch.setattr(policy, "jump", counted)
+    attempts = _jump_attempts(monkeypatch)
     report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=200)
     steps = refinement_steps(PRODUCT, a, ap, "sim")
     assert report.relation == next(itertools.islice(steps, 200, None))
     assert (report.iterations, report.converged) == (200, False)
-    assert outcomes == [(8, False), (16, False), (32, True)]
+    assert attempts == [(8, False), (16, False), (32, True)]
+
+
+def _jump_attempts(monkeypatch) -> list:
+    """Patches policy.jump to append (done, taken) to the returned list on each
+    attempt."""
+    from fuzzybisim import policy
+    jump, attempts = policy.jump, []
+
+    def counted(kernel, phi, done, steps):
+        jumped = jump(kernel, phi, done, steps)
+        attempts.append((done, jumped is not None))
+        return jumped
+
+    monkeypatch.setattr(policy, "jump", counted)
+    return attempts
+
+
+def _two_cycles(name, prime, degrees):
+    """s -> t -> x0 and the cycle x0 <-> x1 on a, the cycle y0 -> y1 -> y2 -> y0
+    on b, at the given five cycle degrees; s starts, every state is terminal."""
+    states = [q + prime for q in ("s", "t", "x0", "x1", "y0", "y1", "y2")]
+    s, t, x0, x1, y0, y1, y2 = states
+    edges = [(s, "a", t), (t, "a", x0), (x0, "a", x1), (x1, "a", x0),
+             (y0, "b", y1), (y1, "b", y2), (y2, "b", y0)]
+    delta = dict(zip(edges, ["1", "1", *degrees]))
+    return FuzzyAutomaton(name, states, ["a", "b"], delta, {s: "1"}, dict.fromkeys(states, "1"))
+
+
+def test_product_jump_period_is_the_lcm_of_the_cycles(monkeypatch):
+    """A' decays around a 2-cycle and a 3-cycle, so the policy repeats every 6
+    sweeps.  A period of 3 would pass the window check at sweep 16 and jump to
+    the wrong iterate; with 6 the attempts at 8 and 16 are refused, and the one
+    at 32 jumps once the cap leaves room for three periods past the tail."""
+    a = _two_cycles("A", "", ["1"] * 5)
+    ap = _two_cycles("B", "'", ["1/2", "1/5", "1/3", "2/7", "3/4"])
+    attempts = _jump_attempts(monkeypatch)
+    iterates = list(itertools.islice(refinement_steps(PRODUCT, a, ap, "sim"), 301))
+    for cap in (33, 40, 41, 45, 100, 200, 300):
+        attempts.clear()
+        report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=cap)
+        assert report.relation == iterates[cap], cap
+        assert (report.iterations, report.converged) == (cap, False)
+        assert attempts == [(8, False), (16, False), (32, cap >= 100)], cap
+    with time_limit(5), pytest.raises(NonConvergenceError, match="within 1000000000000 "):
+        greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=10 ** 12)
+
+
+def test_product_jump_is_refused_while_the_support_shrinks(monkeypatch):
+    """A is a0 -> ... -> a10 at 1 and A' is b0 -> ... -> b9 at 1/2, one state
+    shorter: the simulation loses pairs until sweep 11, so at sweep 8 some
+    F(phi)(i) is 0 and the policy cannot be followed."""
+    def chain(name, prefix, n, degree):
+        states = [f"{prefix}{i}" for i in range(n)]
+        delta = {(p, "a", q): degree for p, q in itertools.pairwise(states)}
+        return FuzzyAutomaton(name, states, ["a"], delta, {states[0]: "1"},
+                              dict.fromkeys(states, "1"))
+
+    a, ap = chain("A", "a", 11, "1"), chain("B", "b", 10, "1/2")
+    attempts = _jump_attempts(monkeypatch)
+    iterates = list(refinement_steps(PRODUCT, a, ap, "sim"))
+    assert len(iterates) == 12 and iterates[10] == iterates[11]
+    for cap in (9, 12, 40):
+        attempts.clear()
+        report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=cap)
+        assert report.relation == iterates[min(cap, 11)], cap
+        assert (report.iterations, report.converged) == ((9, False) if cap == 9 else (11, True))
+        assert attempts == [(8, False)], cap
 
 
 _LATTICES = (GOEDEL, LUKASIEWICZ, PRODUCT)
