@@ -7,7 +7,7 @@ use of a name it defines, so a command loads only the modules it runs."""
 
 # each exported name -> the submodule that defines it; a submodule's own name maps to itself
 _SOURCE = {name: module for module, names in {
-    "automata": "automata UNBOUNDED FuzzyAutomaton automaton_from_obj automaton_to_obj "
+    "automata": "automata FuzzyAutomaton automaton_from_obj automaton_to_obj "
                 "delta_rel lang_degree lang_degree_from_state max_live_word_length "
                 "parse_automaton serialize_automaton",
     "errors": "errors InputError NonConvergenceError",
@@ -19,7 +19,7 @@ _SOURCE = {name: module for module, names in {
                "constant_pool distinguishing_formula enumerate_formulas eval_formula "
                "format_formula hm_agreement hm_degree_bounded parse_formula",
     "lattice": "lattice GOEDEL LUKASIEWICZ ONE PRODUCT ZERO ResiduatedLattice by_name "
-               "format_degree inf meet join parse_degree sup",
+               "format_degree parse_degree",
     "simrel": "simrel DEFAULT_MAX_ITERS PreservationReport SimReport approx_from_greatest "
               "bisim_norm check_crisp_bisimulation check_crisp_simulation "
               "check_fuzzy_bisimulation check_fuzzy_simulation "

@@ -20,9 +20,6 @@ from .errors import InputError, check_object, decode_json
 from .fuzzyrel import FuzzyRelation, FuzzySet, compose_set_rel, compose_set_set, union
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
-#: Returned by max_live_word_length when no finite certificate exists.
-UNBOUNDED = None
-
 _FIELDS = {"name", "alphabet", "states", "initial", "terminal", "transitions"}
 _TRANSITION_FIELDS = {"from", "symbol", "to", "degree"}
 
@@ -47,13 +44,11 @@ class FuzzyAutomaton:
             raise InputError("duplicate alphabet symbol")
         state_set = set(states)
 
-        sigma = sigma if isinstance(sigma, FuzzySet) else FuzzySet(sigma)
-        tau = tau if isinstance(tau, FuzzySet) else FuzzySet(tau)
-        # items() is in key order, so the state named does not vary between runs
-        for label, fset in (("initial", sigma), ("terminal", tau)):
-            for x, _d in fset.items():
-                if x not in state_set:
-                    raise InputError(f"{label} entry for unknown state {x!r}")
+        (sigma, sigma_names), (tau, tau_names) = _fuzzy_set(sigma), _fuzzy_set(tau)
+        # the first unknown name in sorted order, so it does not vary between runs
+        for label, names in (("initial", sigma_names), ("terminal", tau_names)):
+            if unknown := names - state_set:
+                raise InputError(f"{label} entry for unknown state {min(unknown)!r}")
 
         rels: dict = {s: {} for s in alphabet}
         pairs = delta.items() if isinstance(delta, Mapping) else delta
@@ -105,6 +100,15 @@ class FuzzyAutomaton:
                 f"{list(self.alphabet)!r}, transitions={sum(map(len, self._delta_rels.values()))})")
 
 
+def _fuzzy_set(entries) -> tuple:
+    """entries as a FuzzySet, and the set of names they give a degree to, 0
+    included: FuzzySet drops zeros, but a name that is not a state is bad input."""
+    if isinstance(entries, FuzzySet):
+        return entries, entries.support()
+    pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
+    return FuzzySet(pairs), {x for x, _d in pairs}
+
+
 def delta_rel(aut: FuzzyAutomaton, s: str) -> FuzzyRelation:
     """The per-symbol slice delta_s as a fuzzy relation on states."""
     try:
@@ -138,8 +142,8 @@ def max_live_word_length(aut: FuzzyAutomaton, starts=None):
     If the support digraph of the union of all delta_s is acyclic, returns
     the longest path length from the start states (default support(sigma))
     to support(tau); every strictly longer word then has degree 0 from each
-    start state.  Any cycle yields UNBOUNDED, which is sufficient but not
-    necessary for unboundedly long live words.
+    start state.  On any cycle it returns None, for no finite certificate,
+    though a cycle need not make live words unboundedly long.
     """
     succs: dict = {x: set() for x in aut.states}
     preds: dict = {x: set() for x in aut.states}
@@ -149,7 +153,7 @@ def max_live_word_length(aut: FuzzyAutomaton, starts=None):
     try:
         order = list(graphlib.TopologicalSorter(preds).static_order())
     except graphlib.CycleError:
-        return UNBOUNDED
+        return None
     starts = aut.sigma.support() if starts is None else set(starts)
     dist = {x: (0 if x in starts else -1) for x in aut.states}
     for x in order:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .automata import lang_degree, parse_automaton
 from .errors import InputError, NonConvergenceError
-from .fuzzyrel import parse_relation, relation_json_array
+from .fuzzyrel import FuzzyRelation, parse_relation, relation_json_array
 from .lattice import _KINDS, by_name, format_degree, parse_degree
 from .simrel import (
     _KIND_NAMES,
@@ -151,11 +151,20 @@ def _load_inputs(args) -> list:
     against both.  The parsers are module globals read per call: bench/spans.py patches them."""
     inputs = []
     parsers = (("automaton", parse_automaton), ("automaton_prime", parse_automaton),
-               ("relation", lambda text: _validate_rel(parse_relation(text), *inputs)))
+               ("relation", lambda text: _checked_relation(text, *inputs)))
     for dest, parse in parsers:
         if hasattr(args, dest):
             inputs.append(_load(getattr(args, dest), parse))
     return inputs
+
+
+def _checked_relation(text: str, a, ap):
+    """parse_relation's relation, unless an entry names a state A or A' lacks, at
+    any degree: parse_relation drops zero-degree entries, so every entry's names
+    are read again off the JSON, whose shape it has checked."""
+    phi = parse_relation(text)
+    _validate_rel(FuzzyRelation(((e["from"], e["to"]), 1) for e in json.loads(text)), a, ap)
+    return phi
 
 
 def _parse_word(text: str) -> tuple:

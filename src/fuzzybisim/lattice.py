@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InputError
 
@@ -146,7 +145,7 @@ class ResiduatedLattice:
         return b / a
 
     def biresiduum(self, a: Fraction, b: Fraction) -> Fraction:
-        return meet(self.residuum(a, b), self.residuum(b, a))
+        return min(self.residuum(a, b), self.residuum(b, a))
 
 
 GOEDEL = ResiduatedLattice("godel")
@@ -160,29 +159,3 @@ def by_name(name: str) -> ResiduatedLattice:
         if lat.kind == name:
             return lat
     raise InputError(f"unknown lattice kind {name!r}; expected one of {list(_KINDS)}")
-
-
-def meet(a: Fraction, b: Fraction) -> Fraction:
-    return a if a <= b else b
-
-
-def join(a: Fraction, b: Fraction) -> Fraction:
-    return a if a >= b else b
-
-
-def inf(values: Iterable[Fraction]) -> Fraction:
-    """Infimum of a finite collection; the empty infimum is 1 (the top)."""
-    out = ONE
-    for v in values:
-        if v < out:
-            out = v
-    return out
-
-
-def sup(values: Iterable[Fraction]) -> Fraction:
-    """Supremum of a finite collection; the empty supremum is 0 (the bottom)."""
-    out = ZERO
-    for v in values:
-        if v > out:
-            out = v
-    return out

@@ -77,7 +77,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .automata import FuzzyAutomaton, delta_rel, max_live_word_length, UNBOUNDED
+from .automata import FuzzyAutomaton, delta_rel, max_live_word_length
 from .errors import InputError, NonConvergenceError, check_object
 from .fuzzyrel import (
     FuzzyRelation,
@@ -89,7 +89,7 @@ from .fuzzyrel import (
 )
 # unused here, but the benchmark's tracer wraps these by name on this module
 from .fuzzyrel import compose_rel_rel, compose_set_set, converse, pointwise_leq  # noqa: F401
-from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, meet, parse_degree
+from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 DEFAULT_MAX_ITERS = 10000
 
@@ -148,8 +148,8 @@ def _parse_kind(kind) -> bool:
         raise InputError(f"unknown kind {kind!r}; expected sim or bisim") from None
 
 
-def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> FuzzyRelation:
-    """phi, unless it names a state A or A' lacks (the first in sorted order)."""
+def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> None:
+    """Raise InputError if phi names a state A or A' lacks (the first in sorted order)."""
     states_a = set(a.states)
     states_ap = set(ap.states)
     for (x, xp), _d in phi.items():
@@ -157,7 +157,6 @@ def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> 
             raise InputError(f"relation references unknown state {x!r} of automaton {a.name!r}")
         if xp not in states_ap:
             raise InputError(f"relation references unknown state {xp!r} of automaton {ap.name!r}")
-    return phi
 
 
 # ---------------------------------------------------------------- checks
@@ -203,8 +202,8 @@ def sim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
 def bisim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
                ap: FuzzyAutomaton, phi: FuzzyRelation) -> Fraction:
-    return meet(sim_norm(lat, a, ap, phi),
-                subsethood(lat, ap.sigma, compose_set_rel(lat, a.sigma, phi)))
+    return min(sim_norm(lat, a, ap, phi),
+               subsethood(lat, ap.sigma, compose_set_rel(lat, a.sigma, phi)))
 
 
 # ---------------------------------------------------------------- fixpoint
@@ -457,7 +456,7 @@ def _approx_degree(lat, a, ap, phi, bidir: bool) -> Fraction:
     lambda-approximate simulation (bisimulation)."""
     _require_heyting(lat)
     norm = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi)
-    return meet(_condition_degree(lat, a, ap, phi, bidir), norm)
+    return min(_condition_degree(lat, a, ap, phi, bidir), norm)
 
 
 def check_lambda_approx_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
@@ -562,8 +561,8 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
     live_a = max_live_word_length(a, a.sigma.support() | {x for x, _xp in phi.support()})
     live_ap = max_live_word_length(ap, ap.sigma.support() | {xp for _x, xp in phi.support()})
-    exact = (live_a is not UNBOUNDED and live_a <= k
-             and live_ap is not UNBOUNDED and live_ap <= k)
+    exact = (live_a is not None and live_a <= k
+             and live_ap is not None and live_ap <= k)
 
     return PreservationReport(pointwise_ok=pointwise_ok, global_ok=global_ok,
                               exact=exact, global_degree=global_degree)

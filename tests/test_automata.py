@@ -8,7 +8,6 @@ from fuzzybisim import (
     GOEDEL,
     LUKASIEWICZ,
     PRODUCT,
-    UNBOUNDED,
     ZERO,
     FuzzyAutomaton,
     automaton_from_obj,
@@ -77,6 +76,9 @@ def test_zero_transitions_dropped():
     dict(tau={"z": "1"}),
     dict(delta={("p", "a", "q"): "1.5"}),
     dict(delta={("p", "q"): "0.5"}),
+    dict(sigma={"p": "1", "z": "0"}),
+    dict(tau={"q": "0.8", "z": "0"}),
+    dict(sigma=[("p", "1"), ("z", "0")]),
 ])
 def test_construction_rejects(overrides):
     with pytest.raises(InputError):
@@ -114,7 +116,7 @@ def test_max_live_word_length(aut_a):
     assert max_live_word_length(chain, ["2"]) == 1
     assert max_live_word_length(chain, []) == 0
     looped = small(delta={("p", "a", "q"): "0.5", ("q", "a", "p"): "0.5"})
-    assert max_live_word_length(looped) is UNBOUNDED
+    assert max_live_word_length(looped) is None
     # terminal state unreachable from the initial one: nothing is live
     deaf = small(delta={}, sigma={"p": "1"}, tau={"q": "1"})
     assert max_live_word_length(deaf) == 0

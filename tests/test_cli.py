@@ -119,10 +119,11 @@ def test_malformed_inputs_are_bad_input(capsys, tmp_path, command, cls):
                                   ["verify-preservation", "--max-len", "2"]])
 def test_relation_with_unknown_state_names_its_file(capsys, tmp_path, argv):
     rel = tmp_path / "rel.json"
-    rel.write_text('[{"from": "zz", "to": "u\'", "degree": "1/2"}]')
-    code, out, err = run(capsys, argv[0], A, AP, "--relation", str(rel), *argv[1:])
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {rel}: relation references unknown state 'zz'")
+    for degree in ("1/2", "0"):     # a zero-degree entry is dropped, but not unchecked
+        rel.write_text(f'[{{"from": "zz", "to": "u\'", "degree": "{degree}"}}]')
+        code, out, err = run(capsys, argv[0], A, AP, "--relation", str(rel), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {rel}: relation references unknown state 'zz'")
 
 
 def test_check_sim(capsys, sim_relation_file):

@@ -12,7 +12,7 @@ from conftest import run_python
 # the public names of `import fuzzybisim`, by defining submodule; each
 # submodule's own name is public too
 EXPORTS = {
-    "automata": ("UNBOUNDED FuzzyAutomaton automaton_from_obj automaton_to_obj delta_rel "
+    "automata": ("FuzzyAutomaton automaton_from_obj automaton_to_obj delta_rel "
                  "lang_degree lang_degree_from_state max_live_word_length parse_automaton "
                  "serialize_automaton"),
     "errors": "InputError NonConvergenceError",
@@ -24,7 +24,7 @@ EXPORTS = {
                 "distinguishing_formula enumerate_formulas eval_formula format_formula "
                 "hm_agreement hm_degree_bounded parse_formula"),
     "lattice": ("GOEDEL LUKASIEWICZ ONE PRODUCT ZERO ResiduatedLattice by_name format_degree "
-                "inf meet join parse_degree sup"),
+                "parse_degree"),
     "simrel": ("DEFAULT_MAX_ITERS PreservationReport SimReport approx_from_greatest bisim_norm "
                "check_crisp_bisimulation check_crisp_simulation check_fuzzy_bisimulation "
                "check_fuzzy_simulation check_lambda_approx_bisimulation "

@@ -702,6 +702,22 @@ def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
     assert attempts == [(8, False), (16, False), (32, True)]
 
 
+def test_product_jump_refuses_a_policy_whose_ratios_are_all_1(monkeypatch):
+    """phi(x, y) halves every sweep until the y -> z edge at 1/256 sets it, at
+    sweep 8; the policy there repeats with every ratio 1, so a jump would only
+    copy the iterate.  It is refused, and the plain sweeps stabilize at 9."""
+    a = FuzzyAutomaton("A", ["x"], ["a"], {("x", "a", "x"): "1"}, {"x": "1"}, {"x": "1"})
+    ap = FuzzyAutomaton("B", ["y", "z"], ["a"],
+                        {("y", "a", "y"): "1/2", ("y", "a", "z"): "1/256",
+                         ("z", "a", "z"): "1"},
+                        {"y": "1"}, {"y": "1", "z": "1"})
+    attempts = _jump_attempts(monkeypatch)
+    report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=100)
+    assert report.relation.degree("x", "y") == Fraction(1, 256)
+    assert (report.iterations, report.converged) == (9, True)
+    assert attempts == [(8, False)]
+
+
 def _jump_attempts(monkeypatch) -> list:
     """Patches policy.jump to append (done, taken) to the returned list on each
     attempt."""
