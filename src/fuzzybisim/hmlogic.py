@@ -225,8 +225,8 @@ def hm_degree_bounded(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutoma
     """Per-pair infimum of formula readouts over the fragment, truncated at
     the given step-depth.  Antitone in depth; always above the true degree."""
     codec, bidir, atoms = _readout_atoms(lat, a, ap, depth, fragment)
-    op, decode, vectors = codec.op(bidir), codec.decode, [vec for vec, _formula in atoms]
-    return FuzzyRelation._from_parsed({(x, xp): decode(_readout(op, codec.top, vectors, i, j))
+    ratio, vectors = codec.ratio(bidir), [vec for vec, _formula in atoms]
+    return FuzzyRelation._from_parsed({(x, xp): _readout(codec, ratio, vectors, i, j)
                                        for i, x in enumerate(a.states)
                                        for j, xp in enumerate(ap.states, len(a.states))})
 

@@ -60,7 +60,9 @@ get integer codes:
   min(1, 1 - p + q) of grid points are grid points.  k/D is coded by k, so
   p (x) q = max(0, p + q - D) and p -> q = D if p <= q else D - p + q.
 * Product: p * q and q / p leave every finite grid, so the degrees stay
-  Fractions under the lattice's own operations.
+  Fractions under the lattice's own operations.  Only verify_preservation,
+  whose readouts are ratios, codes them as integers up to scale
+  (_scaled_codec).
 
 A relation to check adds its own degrees to that set; the set stays
 closed, so the codes of phi and F(phi) are exact too.  phi_0 is computed
@@ -74,6 +76,7 @@ over the union, with a missing symbol contributing the empty relation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -225,6 +228,11 @@ class _Codec(NamedTuple):
         res = self.residuum
         return (lambda p, q: min(res(p, q), res(q, p))) if bidir else res
 
+    def ratio(self, bidir: bool) -> Callable:
+        """op as the pair (code, 1) that _readout takes."""
+        op = self.op(bidir)
+        return lambda p, q: (op(p, q), 1)
+
 
 def _codec(lat: ResiduatedLattice, degrees: list) -> _Codec:
     """The codec of lat for a pair whose delta, delta', tau and tau' degrees
@@ -246,11 +254,22 @@ def _codec(lat: ResiduatedLattice, degrees: list) -> _Codec:
     return _Codec(lambda v: v, lambda v: v, lat.tnorm, lat.residuum, ZERO, ONE)
 
 
-def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra) -> tuple:
+def _scaled_codec(_lat, degrees: list) -> _Codec:
+    """Product preservation's codes, exact up to a positive factor per vector:
+    k/D coded by k (D the lcm of the denominators), the integer product as
+    t-norm, and a code decodes to itself.  q/p is no code: no residuum."""
+    den = math.lcm(*{d.denominator for d in degrees})
+    return _Codec(lambda v: v.numerator * (den // v.denominator), Fraction, operator.mul,
+                  None, 0, 1)
+
+
+def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra,
+           coding=_codec) -> tuple:
     """A and A' over joint indices, A's states first, then A''s, on codes:
     (codec, the tau vector, per union-alphabet symbol s the pair (s, its
-    transitions (x, y, code)) in both).  The codec also covers the extra
-    degrees, so the vectors stay on codes under guards by them."""
+    transitions (x, y, code)) in both).  coding makes the codec, which also
+    covers the extra degrees, so the vectors stay on codes under guards by
+    them."""
     n = len(a.states)
     sides = ((a, {x: i for i, x in enumerate(a.states)}),
              (ap, {x: n + i for i, x in enumerate(ap.states)}))
@@ -258,7 +277,7 @@ def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra)
                   for (x, y), d in delta_rel(aut, s).items()])
              for s in sorted(set(a.alphabet) | set(ap.alphabet))]
     tau = [aut.tau.degree(x) for aut, _pos in sides for x in aut.states]
-    codec = _codec(lat, [*tau, *(d for _s, edges in steps for _x, _y, d in edges), *extra])
+    codec = coding(lat, [*tau, *(d for _s, edges in steps for _x, _y, d in edges), *extra])
     encode = codec.encode
     return (codec, tuple(map(encode, tau)),
             [(s, [(x, y, encode(d)) for x, y, d in edges]) for s, edges in steps])
@@ -505,14 +524,23 @@ def _back_step(codec: _Codec, edges, vec: tuple) -> tuple:
     return tuple(out)
 
 
-def _readout(op, top, vectors, i: int, j: int):
-    """inf over the vectors of op(v[i], v[j]), starting at top and stopping at 0."""
-    bound = top
+def _primitive(vec: tuple) -> tuple:
+    """vec divided by the gcd of its entries: one tuple per class of positive multiples."""
+    g = math.gcd(*vec)
+    return vec if g <= 1 else tuple([x // g for x in vec])
+
+
+def _readout(codec: _Codec, ratio, vectors, i: int, j: int) -> Fraction:
+    """inf over the vectors of ratio(v[i], v[j]), a pair (num, den) of codes
+    read num/den, decoded: from top, compared by cross-multiplying, stopping at 0."""
+    num, den = codec.top, 1
     for vec in vectors:
-        bound = min(bound, op(vec[i], vec[j]))
-        if not bound:
-            break
-    return bound
+        r, s = ratio(vec[i], vec[j])
+        if r * den < num * s:
+            num, den = r, s
+            if not r:
+                break
+    return codec.decode(num) / den
 
 
 # ---------------------------------------------------------------- preservation
@@ -530,7 +558,10 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
     The infima run over the distinct joint back vectors of those words, found
     breadth-first: finitely many on godel and lukasiewicz, so a large k is
-    cheap; on product their number still grows roughly like |alphabet|^k.
+    cheap.  On product each readout is a ratio of two entries of one vector,
+    so the vectors are kept up to scale, on _scaled_codec's integer codes and
+    divided by the gcd of their entries; some pairs then saturate, on the
+    rest the classes still grow with k.
     """
     if k < 0:
         raise InputError("word length bound must be >= 0")
@@ -538,25 +569,34 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     bidir = _parse_kind(kind)
 
     # the vector of s.w is delta_s o (the vector of w); a vector seen before
-    # sets the same bounds, and its extensions repeat vectors already seen
-    degrees = [d for _key, d in phi.items() + a.sigma.items() + ap.sigma.items()]
-    codec, tau, steps = _joint(lat, a, ap, degrees)
+    # sets the same bounds, and its extensions repeat vectors already seen.
+    # sigma and sigma' share the codes, as the global readout compares them.
+    sigmas = [d for _x, d in a.sigma.items() + ap.sigma.items()]
+    if lat.kind == "product":
+        codec, tau, steps = _joint(lat, a, ap, sigmas, _scaled_codec)
+        # on codes p > q the residuum is q/p, and the biresiduum is min/max
+        scale = _primitive
+        ratio = ((lambda p, q: (q, p) if p > q else (p, q)) if bidir
+                 else (lambda p, q: (q, p) if p > q else (1, 1)))
+    else:
+        codec, tau, steps = _joint(lat, a, ap, sigmas + [d for _key, d in phi.items()])
+        scale, ratio = tuple, codec.ratio(bidir)     # tuple passes a tuple through
+    tau = scale(tau)
     seen, level, length = {tau}, [tau], 0
     while level and length < k:
-        level = {_back_step(codec, e, v) for v in level for _s, e in steps} - seen
+        level = {scale(_back_step(codec, e, v)) for v in level for _s, e in steps} - seen
         seen |= level
         length += 1
 
-    op, top, decode = codec.op(bidir), codec.top, codec.decode
     index, n = a.states.index, len(a.states)
-    pointwise_ok = all(d <= decode(_readout(op, top, seen, index(x), n + ap.states.index(xp)))
+    pointwise_ok = all(d <= _readout(codec, ratio, seen, index(x), n + ap.states.index(xp))
                        for (x, xp), d in phi.items())
     # sigma o v and sigma' o v: one step from a virtual initial state of each,
     # read off entries 0 and 1 (every automaton has a state, so len(v) >= 2)
     init = ([(0, index(x), codec.encode(d)) for x, d in a.sigma.items()]
             + [(1, n + ap.states.index(xp), codec.encode(d)) for xp, d in ap.sigma.items()])
     initial = (_back_step(codec, init, v) for v in seen)
-    global_degree = decode(_readout(op, top, initial, 0, 1))
+    global_degree = _readout(codec, ratio, initial, 0, 1)
     global_ok = (bisim_norm if bidir else sim_norm)(lat, a, ap, phi) <= global_degree
 
     live_a = max_live_word_length(a, a.sigma.support() | {x for x, _xp in phi.support()})

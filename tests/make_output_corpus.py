@@ -179,6 +179,13 @@ def build() -> tuple:
             cases[f"r0/{lat}/text/{cmd}"] = [cmd, *common]
         cases[f"r0/{lat}/text/hm/sim/3"] = ["hm-degree", *common, "--depth", "3",
                                             "--fragment", "sim"]
+    # product preservation on longer words, where back vectors repeat up to scale
+    for i in range(len(SHAPES)):
+        for kind, rname in (("sim", "gsim"), ("bisim", "gbisim"), ("sim", "rand")):
+            cases[f"r{i}/product/json/pres8/{kind}/{rname}"] = [
+                "verify-preservation", f"@r{i}-a.json", f"@r{i}-b.json", "--relation",
+                f"@r{i}-{rname}.json", "--kind", kind, "--max-len", "8", "--lattice", "product",
+                "--output", "json"]
 
     fa, fap, frel = "@ex_a.json", "@ex_a_prime.json", "@fix-gsim.json"
     for name in MALFORMED:

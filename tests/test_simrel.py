@@ -540,19 +540,42 @@ def _preservation_by_words(lat, a, ap, phi, k, bidir):
     return pointwise_ok, norm <= global_degree, global_degree
 
 
+_TENTHS = tuple(f"{i}/10" for i in range(1, 11))
+
+
+def _rescaled_cases():
+    """(A, A', phi, k) for product preservation's scaled codes, k up to 6:
+    sigma and sigma' have denominators no delta or tau has, A' reads every
+    word (so the global degrees are not 0), except that the last pair's tau'
+    is 0 everywhere."""
+    for seed in range(6):
+        a = random_automaton("A", 2 + seed % 3, ["a", "b"], _TENTHS, 9100 + seed, density=0.6)
+        ap = random_automaton("B", 2 + seed % 2, ["a", "b"], _TENTHS, 9200 + seed, density=1)
+        a = FuzzyAutomaton("A", a.states, a.alphabet, dict(a.transitions()),
+                           {a.states[0]: "1", a.states[-1]: "1/3"}, a.tau)
+        ap = FuzzyAutomaton("B", ap.states, ap.alphabet, dict(ap.transitions()),
+                            {ap.states[0]: "2/7"}, {} if seed == 5 else ap.tau)
+        yield a, ap, random_relation(a.states, ap.states, _TENTHS, 9300 + seed).relation, 1 + seed
+
+
 @pytest.mark.parametrize("lat", [GOEDEL, LUKASIEWICZ, PRODUCT], ids=lambda lat: lat.kind)
 def test_preservation_matches_word_by_word_evaluation(lat):
     one_sided = [(*_ONE_SIDED, random_relation(_ONE_SIDED[0].states, _ONE_SIDED[1].states,
                                                _MIXED, seed).relation) for seed in range(4)]
-    verdicts = set()
-    for i, (a, ap, phi) in enumerate([*_random_cases(lat, range(6)), *one_sided]):
-        k = i % 5
+    cases = [(a, ap, phi, i % 5)
+             for i, (a, ap, phi) in enumerate([*_random_cases(lat, range(6)), *one_sided])]
+    if lat is PRODUCT:
+        cases += _rescaled_cases()
+    verdicts, degrees = set(), set()
+    for a, ap, phi, k in cases:
         for kind, bidir in (("sim", False), ("bisim", True)):
             report = verify_preservation(lat, a, ap, phi, k, kind=kind)
             expected = _preservation_by_words(lat, a, ap, phi, k, bidir)
             assert (report.pointwise_ok, report.global_ok, report.global_degree) == expected
             verdicts.update({report.pointwise_ok, report.global_ok})
+            degrees.add(report.global_degree)
     assert verdicts == {True, False}
+    assert any(ZERO < d < ONE for d in degrees)
 
 
 def _acyclic(aut):
@@ -599,6 +622,27 @@ def test_preservation_saturates_on_finite_lattices(lat):
                 report = verify_preservation(lat, a, ap, phi, 10**6, kind=kind)
                 assert time.perf_counter() - start < 1
                 assert report == verify_preservation(lat, a, ap, phi, 64, kind=kind)
+
+
+def test_product_preservation_saturates_up_to_scale():
+    # product back vectors are kept up to scale, and on these cyclic pairs their
+    # classes stop growing, so a huge word bound costs no more than 64
+    a = random_automaton("A", 6, ["a", "b"], _TENTHS, 80008, density=0.3)
+    pairs = [(a, FuzzyAutomaton("A2", a.states, a.alphabet, dict(a.transitions()), a.sigma,
+                                a.tau))]
+    pairs += [(random_automaton("A", 2 + i, ["a", "b"], ("1/2", "1"), 9000 + i, density=0.5),
+               random_automaton("B", 2, ["a", "b"], ("1/2", "1"), 9500 + i, density=0.5))
+              for i in range(2)]
+    for a, ap in pairs:
+        for kind, greatest in (("sim", greatest_fuzzy_simulation),
+                               ("bisim", greatest_fuzzy_bisimulation)):
+            phi = greatest(PRODUCT, a, ap, max_iters=500).relation
+            start = time.perf_counter()
+            with time_limit(5):
+                report = verify_preservation(PRODUCT, a, ap, phi, 10**6, kind=kind)
+            assert time.perf_counter() - start < 1
+            assert not report.exact
+            assert report == verify_preservation(PRODUCT, a, ap, phi, 64, kind=kind)
 
 
 # the pools of the product jump differential: tenths, and two with finer ratios
@@ -668,6 +712,18 @@ def test_policy_reproduces_every_iterate(lat):
                         values.append(residuum(d, comp))
                     assert nxt[i] == (kernel.phi0[i] if chosen is None else values[chosen])
                     assert nxt[i] == min(kernel.phi0[i], *values)
+
+
+def test_policy_record_breaks_a_tie_by_the_first_constraint():
+    # a and b set (x, y) alike at phi_0 and at F(phi_0), so the tie-break decides
+    from fuzzybisim.policy import record
+    from fuzzybisim.simrel import _Kernel
+    a = FuzzyAutomaton("A", ["x"], ["a", "b"], {("x", "a", "x"): "1/2", ("x", "b", "x"): "1/2"},
+                       {"x": "1"}, {"x": "1"})
+    ap = FuzzyAutomaton("B", ["y"], ["a", "b"], {("y", "a", "y"): "1/4", ("y", "b", "y"): "1/4"},
+                        {"y": "1"}, {"y": "1"})
+    kernel = _Kernel(PRODUCT, a, ap, False)
+    assert [(i, chosen) for i, chosen, _cons in record(kernel, kernel.phi0)] == [(0, 0)]
 
 
 def test_product_jump_past_its_bit_bound_raises():
