@@ -7,6 +7,7 @@ from fuzzybisim import (
     LUKASIEWICZ,
     ONE,
     PRODUCT,
+    FuzzyAutomaton,
     FuzzyRelation,
     check_fuzzy_bisimulation,
     check_fuzzy_simulation,
@@ -57,6 +58,31 @@ def test_report_flags_planted_violation(aut_a, aut_ap):
     assert "trans-fwd" in report
     conditions = set(report)
     assert conditions <= set(CONDITIONS)
+
+
+def test_report_pins_every_backward_violation():
+    # A's states are u*, A''s v*, so a coordinate in the wrong order, or a
+    # backward half read off phi instead of phi^-1, cannot match
+    a = FuzzyAutomaton("A", ["u1", "u2"], ["a"],
+                       {("u1", "a", "u2"): "1", ("u2", "a", "u1"): "1/2"},
+                       {"u1": "1"}, {"u1": "1/2", "u2": "1/4"})
+    ap = FuzzyAutomaton("A'", ["v1", "v2"], ["a", "b"],
+                        {("v1", "a", "v1"): "3/4", ("v1", "a", "v2"): "1/4",
+                         ("v2", "b", "v1"): "1"},
+                        {"v1": "1/2", "v2": "3/4"}, {"v1": "1/4", "v2": "1"})
+    phi = FuzzyRelation({("u1", "v1"): "1", ("u2", "v2"): "1/2"})
+    report = pointwise_condition_report(GOEDEL, a, ap, phi)
+    assert tuple(report) == CONDITIONS
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert report["initial-bwd"] == [(("v2",), Fraction(3, 4), 0)]
+    # (u1, a, v1): phi(u1, v1) and delta'(v1, a, v1) give 3/4, and u1's only
+    # a-successor u2 is unrelated to v1; b is not in A's alphabet
+    assert report["trans-bwd"] == [(("a", "u1", "v1"), Fraction(3, 4), 0),
+                                   (("b", "u2", "v1"), half, 0)]
+    assert report["terminal-bwd"] == [(("u2",), half, quarter)]
+    assert report["initial-fwd"][0] == (("u1",), 1, half)
+    assert report["trans-fwd"][0] == (("a", "v1", "u2"), 1, quarter)
+    assert report["terminal-fwd"][0] == (("v1",), half, quarter)
 
 
 def test_bruteforce_agrees_with_checkers(aut_a, aut_ap):
