@@ -2,9 +2,12 @@
 main algorithms.
 
 Everything here recomputes the defining inequalities from scalar lattice
-operations and explicit loops over full state spaces.  It deliberately
-avoids the relation-calculus helpers: two independent code paths have to
-agree before a result counts as verified.
+operations and explicit loops over full state spaces, each inclusion once:
+phi is a bisimulation when phi^-1 is a simulation of A' by A as well, so
+each backward condition is the forward one on (A', A, phi^-1).  It still
+avoids the relation calculus (compositions, converse) and the refinement
+kernel: two independent code paths have to agree before a result counts
+as verified.
 """
 
 from __future__ import annotations
@@ -28,6 +31,51 @@ CONDITIONS = (
 )
 
 
+def _forward_violations(lat, a, ap, phi: dict, symbols) -> tuple:
+    """The violated coordinates [(coordinate, lhs, rhs), ...] of the initial,
+    transition and terminal inclusions of a simulation of A by A', for phi
+    given as a dict (x, x') -> degree."""
+    initial = []
+    for x in a.states:
+        lhs = a.sigma.degree(x)
+        rhs = ZERO
+        for xp in ap.states:
+            v = lat.tnorm(ap.sigma.degree(xp), phi.get((x, xp), ZERO))
+            if v > rhs:
+                rhs = v
+        if lhs > rhs:
+            initial.append(((x,), lhs, rhs))
+
+    trans = []
+    for s in symbols:
+        for xp in ap.states:
+            for y in a.states:
+                lhs = ZERO
+                for x in a.states:
+                    v = lat.tnorm(phi.get((x, xp), ZERO), a.delta_degree(x, s, y))
+                    if v > lhs:
+                        lhs = v
+                rhs = ZERO
+                for yp in ap.states:
+                    v = lat.tnorm(ap.delta_degree(xp, s, yp), phi.get((y, yp), ZERO))
+                    if v > rhs:
+                        rhs = v
+                if lhs > rhs:
+                    trans.append(((s, xp, y), lhs, rhs))
+
+    terminal = []
+    for xp in ap.states:
+        lhs = ZERO
+        for x in a.states:
+            v = lat.tnorm(phi.get((x, xp), ZERO), a.tau.degree(x))
+            if v > lhs:
+                lhs = v
+        rhs = ap.tau.degree(xp)
+        if lhs > rhs:
+            terminal.append(((xp,), lhs, rhs))
+    return initial, trans, terminal
+
+
 def pointwise_condition_report(lat: ResiduatedLattice, a: FuzzyAutomaton,
                                ap: FuzzyAutomaton, phi: FuzzyRelation) -> dict:
     """Expand all six defining inclusions pointwise.
@@ -38,99 +86,10 @@ def pointwise_condition_report(lat: ResiduatedLattice, a: FuzzyAutomaton,
     (initial-fwd, trans-fwd, terminal-fwd) characterizes simulations.
     """
     symbols = sorted(set(a.alphabet) | set(ap.alphabet))
-    report: dict = {}
-
-    viols = []
-    for x in a.states:
-        lhs = a.sigma.degree(x)
-        rhs = ZERO
-        for xp in ap.states:
-            v = lat.tnorm(ap.sigma.degree(xp), phi.degree(x, xp))
-            if v > rhs:
-                rhs = v
-        if lhs > rhs:
-            viols.append(((x,), lhs, rhs))
-    if viols:
-        report["initial-fwd"] = viols
-
-    viols = []
-    for s in symbols:
-        for xp in ap.states:
-            for y in a.states:
-                lhs = ZERO
-                for x in a.states:
-                    v = lat.tnorm(phi.degree(x, xp), a.delta_degree(x, s, y))
-                    if v > lhs:
-                        lhs = v
-                rhs = ZERO
-                for yp in ap.states:
-                    v = lat.tnorm(ap.delta_degree(xp, s, yp), phi.degree(y, yp))
-                    if v > rhs:
-                        rhs = v
-                if lhs > rhs:
-                    viols.append(((s, xp, y), lhs, rhs))
-    if viols:
-        report["trans-fwd"] = viols
-
-    viols = []
-    for xp in ap.states:
-        lhs = ZERO
-        for x in a.states:
-            v = lat.tnorm(phi.degree(x, xp), a.tau.degree(x))
-            if v > lhs:
-                lhs = v
-        rhs = ap.tau.degree(xp)
-        if lhs > rhs:
-            viols.append(((xp,), lhs, rhs))
-    if viols:
-        report["terminal-fwd"] = viols
-
-    viols = []
-    for xp in ap.states:
-        lhs = ap.sigma.degree(xp)
-        rhs = ZERO
-        for x in a.states:
-            v = lat.tnorm(a.sigma.degree(x), phi.degree(x, xp))
-            if v > rhs:
-                rhs = v
-        if lhs > rhs:
-            viols.append(((xp,), lhs, rhs))
-    if viols:
-        report["initial-bwd"] = viols
-
-    viols = []
-    for s in symbols:
-        for x in a.states:
-            for yp in ap.states:
-                lhs = ZERO
-                for xp in ap.states:
-                    v = lat.tnorm(phi.degree(x, xp), ap.delta_degree(xp, s, yp))
-                    if v > lhs:
-                        lhs = v
-                rhs = ZERO
-                for y in a.states:
-                    v = lat.tnorm(a.delta_degree(x, s, y), phi.degree(y, yp))
-                    if v > rhs:
-                        rhs = v
-                if lhs > rhs:
-                    viols.append(((s, x, yp), lhs, rhs))
-    if viols:
-        report["trans-bwd"] = viols
-
-    viols = []
-    for x in a.states:
-        lhs = ZERO
-        for xp in ap.states:
-            v = lat.tnorm(phi.degree(x, xp), ap.tau.degree(xp))
-            if v > lhs:
-                lhs = v
-        rhs = a.tau.degree(x)
-        if lhs > rhs:
-            viols.append(((x,), lhs, rhs))
-    if viols:
-        report["terminal-bwd"] = viols
-
-    return report
+    inverse = {(xp, x): d for (x, xp), d in phi.items()}
+    violations = (*_forward_violations(lat, a, ap, dict(phi.items()), symbols),
+                  *_forward_violations(lat, ap, a, inverse, symbols))
+    return {c: viols for c, viols in zip(CONDITIONS, violations) if viols}
 
 
 def is_fuzzy_simulation_bruteforce(lat, a, ap, phi) -> bool:
@@ -142,6 +101,27 @@ def is_fuzzy_bisimulation_bruteforce(lat, a, ap, phi) -> bool:
     report = pointwise_condition_report(lat, a, ap, phi)
     return all(c not in report for c in
                ("trans-fwd", "terminal-fwd", "trans-bwd", "terminal-bwd"))
+
+
+def _step_bound(lat, a, ap, phi: dict, x, xp, symbols, v):
+    """v met with every transition constraint of a simulation phi of A by A'
+    at (x, x'): delta_s(x, y) -> sup over y' of delta'_s(x', y') (x) phi(y, y')."""
+    for s in symbols:
+        for y in a.states:
+            dd = a.delta_degree(x, s, y)
+            if dd == ZERO:
+                continue
+            best = ZERO
+            for yp in ap.states:
+                t = lat.tnorm(ap.delta_degree(xp, s, yp), phi.get((y, yp), ZERO))
+                if t > best:
+                    best = t
+            r = lat.residuum(dd, best)
+            if r < v:
+                v = r
+        if v == ZERO:
+            break
+    return v
 
 
 def _shrink(lat, a, ap, psi, bidir, max_iters):
@@ -156,39 +136,12 @@ def _shrink(lat, a, ap, psi, bidir, max_iters):
         if v != ZERO:
             cur[(x, xp)] = v
     for _ in range(cap):
+        inverse = {(xp, x): d for (x, xp), d in cur.items()}
         nxt = {}
         for (x, xp), d in cur.items():
-            v = d
-            for s in symbols:
-                for y in a.states:
-                    dd = a.delta_degree(x, s, y)
-                    if dd == ZERO:
-                        continue
-                    best = ZERO
-                    for yp in ap.states:
-                        t = lat.tnorm(ap.delta_degree(xp, s, yp), cur.get((y, yp), ZERO))
-                        if t > best:
-                            best = t
-                    r = lat.residuum(dd, best)
-                    if r < v:
-                        v = r
-                if v == ZERO:
-                    break
-                if bidir:
-                    for yp in ap.states:
-                        dd = ap.delta_degree(xp, s, yp)
-                        if dd == ZERO:
-                            continue
-                        best = ZERO
-                        for y in a.states:
-                            t = lat.tnorm(a.delta_degree(x, s, y), cur.get((y, yp), ZERO))
-                            if t > best:
-                                best = t
-                        r = lat.residuum(dd, best)
-                        if r < v:
-                            v = r
-                    if v == ZERO:
-                        break
+            v = _step_bound(lat, a, ap, cur, x, xp, symbols, d)
+            if bidir and v != ZERO:
+                v = _step_bound(lat, ap, a, inverse, xp, x, symbols, v)
             if v != ZERO:
                 nxt[(x, xp)] = v
         if nxt == cur:
@@ -215,12 +168,18 @@ class RelationSample(NamedTuple):
     value_pool: tuple
 
 
-def random_relation(universe_a, universe_b, value_pool, seed: int,
-                    density: float = 0.5) -> RelationSample:
-    """Seeded random fuzzy relation between two state sets."""
+def _pool(value_pool) -> list:
+    """The distinct degrees of a non-empty value pool, sorted."""
     pool = sorted({parse_degree(v) for v in value_pool})
     if not pool:
         raise InputError("value pool must be non-empty")
+    return pool
+
+
+def random_relation(universe_a, universe_b, value_pool, seed: int,
+                    density: float = 0.5) -> RelationSample:
+    """Seeded random fuzzy relation between two state sets."""
+    pool = _pool(value_pool)
     rng = random.Random(seed)
     entries = {}
     for x in sorted(universe_a):
@@ -233,9 +192,7 @@ def random_relation(universe_a, universe_b, value_pool, seed: int,
 def random_automaton(name: str, n_states: int, symbols, value_pool, seed: int,
                      density: float = 0.4) -> FuzzyAutomaton:
     """Seeded random fuzzy automaton for property tests."""
-    pool = sorted({parse_degree(v) for v in value_pool})
-    if not pool:
-        raise InputError("value pool must be non-empty")
+    pool = _pool(value_pool)
     if n_states < 1:
         raise InputError("need at least one state")
     rng = random.Random(seed)

@@ -61,8 +61,7 @@ get integer codes:
   p (x) q = max(0, p + q - D) and p -> q = D if p <= q else D - p + q.
 * Product: p * q and q / p leave every finite grid, so the degrees stay
   Fractions under the lattice's own operations.  Only verify_preservation,
-  whose readouts are ratios, codes them as integers up to scale
-  (_scaled_codec).
+  whose readouts are ratios, codes k/D by k as well (exact up to scale).
 
 A relation to check adds its own degrees to that set; the set stays
 closed, so the codes of phi and F(phi) are exact too.  phi_0 is computed
@@ -234,9 +233,10 @@ class _Codec(NamedTuple):
         return lambda p, q: (op(p, q), 1)
 
 
-def _codec(lat: ResiduatedLattice, degrees: list) -> _Codec:
+def _codec(lat: ResiduatedLattice, degrees: list, scaled=False) -> _Codec:
     """The codec of lat for a pair whose delta, delta', tau and tau' degrees
-    (and a checked relation's, or guard constants) are listed, repeats included."""
+    (and a checked relation's, or guard constants) are listed, repeats included.
+    scaled: the codes need be exact only up to a positive factor per vector."""
     if lat.kind == "godel":
         # keyed by (numerator, denominator): hashing a Fraction costs far more
         ratios = {d.as_integer_ratio() for d in degrees} | {(0, 1), (1, 1)}
@@ -245,29 +245,27 @@ def _codec(lat: ResiduatedLattice, degrees: list) -> _Codec:
         top = len(values) - 1
         return _Codec(lambda v: rank[v.as_integer_ratio()], values.__getitem__, min,
                       lambda p, q: top if p <= q else q, 0, top)
+    if lat.kind == "product" and not scaled:
+        return _Codec(lambda v: v, lambda v: v, lat.tnorm, lat.residuum, ZERO, ONE)
+    den = math.lcm(*{d.denominator for d in degrees})
+
+    def encode(v):      # k/D coded by k, D the lcm of the denominators
+        return v.numerator * (den // v.denominator)
+
     if lat.kind == "lukasiewicz":
-        den = math.lcm(*{d.denominator for d in degrees})
-        return _Codec(lambda v: v.numerator * (den // v.denominator),
-                      lambda k: Fraction(k, den),
+        return _Codec(encode, lambda k: Fraction(k, den),
                       lambda p, q: p + q - den if p + q > den else 0,
                       lambda p, q: den if p <= q else den - p + q, 0, den)
-    return _Codec(lambda v: v, lambda v: v, lat.tnorm, lat.residuum, ZERO, ONE)
-
-
-def _scaled_codec(_lat, degrees: list) -> _Codec:
-    """Product preservation's codes, exact up to a positive factor per vector:
-    k/D coded by k (D the lcm of the denominators), the integer product as
-    t-norm, and a code decodes to itself.  q/p is no code: no residuum."""
-    den = math.lcm(*{d.denominator for d in degrees})
-    return _Codec(lambda v: v.numerator * (den // v.denominator), Fraction, operator.mul,
-                  None, 0, 1)
+    # scaled product: the integer product as t-norm, and a code decodes to
+    # itself; q/p is no code, so there is no residuum
+    return _Codec(encode, Fraction, operator.mul, None, 0, 1)
 
 
 def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra,
-           coding=_codec) -> tuple:
+           scaled=False) -> tuple:
     """A and A' over joint indices, A's states first, then A''s, on codes:
     (codec, the tau vector, per union-alphabet symbol s the pair (s, its
-    transitions (x, y, code)) in both).  coding makes the codec, which also
+    transitions (x, y, code)) in both).  The codec (scaled as in _codec) also
     covers the extra degrees, so the vectors stay on codes under guards by
     them."""
     n = len(a.states)
@@ -277,7 +275,8 @@ def _joint(lat: ResiduatedLattice, a: FuzzyAutomaton, ap: FuzzyAutomaton, extra,
                   for (x, y), d in delta_rel(aut, s).items()])
              for s in sorted(set(a.alphabet) | set(ap.alphabet))]
     tau = [aut.tau.degree(x) for aut, _pos in sides for x in aut.states]
-    codec = coding(lat, [*tau, *(d for _s, edges in steps for _x, _y, d in edges), *extra])
+    codec = _codec(lat, [*tau, *(d for _s, edges in steps for _x, _y, d in edges), *extra],
+                   scaled)
     encode = codec.encode
     return (codec, tuple(map(encode, tau)),
             [(s, [(x, y, encode(d)) for x, y, d in edges]) for s, edges in steps])
@@ -559,7 +558,7 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     The infima run over the distinct joint back vectors of those words, found
     breadth-first: finitely many on godel and lukasiewicz, so a large k is
     cheap.  On product each readout is a ratio of two entries of one vector,
-    so the vectors are kept up to scale, on _scaled_codec's integer codes and
+    so the vectors are kept up to scale, on _codec's scaled integer codes and
     divided by the gcd of their entries; some pairs then saturate, on the
     rest the classes still grow with k.
     """
@@ -570,16 +569,16 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
 
     # the vector of s.w is delta_s o (the vector of w); a vector seen before
     # sets the same bounds, and its extensions repeat vectors already seen.
-    # sigma and sigma' share the codes, as the global readout compares them.
+    # sigma and sigma' share the codes, as the global readout compares them;
+    # phi meets decoded readouts only, so its degrees need no codes.
     sigmas = [d for _x, d in a.sigma.items() + ap.sigma.items()]
+    codec, tau, steps = _joint(lat, a, ap, sigmas, scaled=True)
     if lat.kind == "product":
-        codec, tau, steps = _joint(lat, a, ap, sigmas, _scaled_codec)
         # on codes p > q the residuum is q/p, and the biresiduum is min/max
         scale = _primitive
         ratio = ((lambda p, q: (q, p) if p > q else (p, q)) if bidir
                  else (lambda p, q: (q, p) if p > q else (1, 1)))
     else:
-        codec, tau, steps = _joint(lat, a, ap, sigmas + [d for _key, d in phi.items()])
         scale, ratio = tuple, codec.ratio(bidir)     # tuple passes a tuple through
     tau = scale(tau)
     seen, level, length = {tau}, [tau], 0
