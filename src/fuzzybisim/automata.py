@@ -12,11 +12,10 @@ with the empty word handled as the n = 0 case sigma o tau.
 from __future__ import annotations
 
 import graphlib
-import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, check_object, decode_json
+from .errors import InputError, check_object, decode_json, encode_json
 from .fuzzyrel import FuzzyRelation, FuzzySet, compose_set_rel, compose_set_set, union
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
@@ -218,4 +217,4 @@ def automaton_to_obj(aut: FuzzyAutomaton) -> dict:
 
 
 def serialize_automaton(aut: FuzzyAutomaton) -> str:
-    return json.dumps(automaton_to_obj(aut), indent=2)
+    return encode_json(automaton_to_obj(aut))

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .automata import lang_degree, parse_automaton
-from .errors import InputError, NonConvergenceError
-from .fuzzyrel import FuzzyRelation, parse_relation, relation_json_array
+from .errors import InputError, NonConvergenceError, encode_json
+from .fuzzyrel import parse_relation, relation_json_array
 from .lattice import _KINDS, by_name, format_degree, parse_degree
 from .simrel import (
     _KIND_NAMES,
@@ -163,7 +163,7 @@ def _checked_relation(text: str, a, ap):
     any degree: parse_relation drops zero-degree entries, so every entry's names
     are read again off the JSON, whose shape it has checked."""
     phi = parse_relation(text)
-    _validate_rel(FuzzyRelation(((e["from"], e["to"]), 1) for e in json.loads(text)), a, ap)
+    _validate_rel([(e["from"], e["to"]) for e in json.loads(text)], a, ap)
     return phi
 
 
@@ -178,7 +178,7 @@ def _parse_word(text: str) -> tuple:
 
 def _emit(args, obj, text) -> None:
     """Print obj as JSON, or as the lines text(obj) reads off its already-formatted values."""
-    _print_lines([json.dumps(obj, indent=2)] if args.output == "json" else text(obj))
+    _print_lines([encode_json(obj)] if args.output == "json" else text(obj))
 
 
 def _print_lines(lines) -> None:
@@ -237,7 +237,7 @@ def _cmd_greatest(args, lat, a, ap) -> int:
     obj = report_to_obj(compute(lat, a, ap, max_iters=args.max_iters))
     _emit(args, obj, lambda o: [
         f"greatest fuzzy {o['kind']}", f"norm: {o['norm']}", f"iterations: {o['iterations']}",
-        f"converged: {json.dumps(o['converged'])}", *_entry_lines(o["relation"], "  ")])
+        f"converged: {encode_json(o['converged'])}", *_entry_lines(o["relation"], "  ")])
     return 0 if obj["converged"] else 3
 
 
@@ -250,7 +250,7 @@ def _cmd_verify_preservation(args, lat, a, ap, phi) -> int:
     obj = preservation_to_obj(report)
     _emit(args, obj, lambda o: [f"pointwise: {_VERDICT[o['pointwise_ok']]}",
                                 f"global: {_VERDICT[o['global_ok']]}",
-                                f"exact: {json.dumps(o['exact'])}"])
+                                f"exact: {encode_json(o['exact'])}"])
     return 0 if report.pointwise_ok and report.global_ok else 1
 
 

@@ -1,9 +1,11 @@
-"""Shared exception types, and the JSON decoding and object shape check the
-file readers share.  A reader checks the shape of what it decodes; the
+"""Shared exception types, the JSON decoding and object shape check the file
+readers share, and the one writer every JSON text the package prints or
+serializes goes through.  A reader checks the shape of what it decodes; the
 constructor it hands the values to checks the values."""
 
 import json
 import reprlib
+from json.encoder import encode_basestring_ascii as _quote
 
 
 class InputError(ValueError):
@@ -21,6 +23,33 @@ def decode_json(text: str, what: str):
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed {what} JSON: {exc}") from exc
+
+
+def encode_json(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with string keys,
+    lists, strings, bools, None and ints; TypeError on anything else.  The
+    standard library's C encoder never runs with an indent, so this one quotes
+    strings with it and joins each container once."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, int):
+        return json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{_quote(key)}: {_encode(value, inner)}" for key, value in obj.items()]
+    elif isinstance(obj, list):
+        brackets = "[]"
+        items = [_encode(value, inner) for value in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{newline}{brackets[1]}"
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -13,11 +13,10 @@ such as a composition or a decoded fixpoint iterate, is built by
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InputError, check_object, decode_json
+from .errors import InputError, check_object, decode_json, encode_json
 from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 
 
@@ -214,7 +213,7 @@ def relation_json_array(phi: FuzzyRelation) -> list:
 
 
 def serialize_relation(phi: FuzzyRelation) -> str:
-    return json.dumps(relation_json_array(phi), indent=2)
+    return encode_json(relation_json_array(phi))
 
 
 _ENTRY_FIELDS = {"from", "to", "degree"}

@@ -19,8 +19,9 @@ lattice meet and join are plain min and max.
 
 from __future__ import annotations
 
+import functools
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .errors import InputError
@@ -37,6 +38,8 @@ MAX_EXPONENT = 4300
 # a decimal literal with an exponent, in the syntax Fraction reads
 _EXPONENT_LITERAL = re.compile(r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
                                r"[eE]([-+]?\d+(?:_\d+)*)")
+MEMO_LENGTH = 40
+MEMO_SIZE = 1024
 
 
 def parse_degree(value) -> Fraction:
@@ -46,6 +49,10 @@ def parse_degree(value) -> Fraction:
     an exponent of at most MAX_EXPONENT in magnitude), plain ints, and
     Fraction values.  Floats are rejected: binary floats
     are inexact and would poison every downstream comparison.
+
+    A string of at most MEMO_LENGTH characters is parsed once while it is
+    among the last MEMO_SIZE distinct ones, so a file's repeated literals
+    cost one parse.  A bad literal raises every time; a longer one is never kept.
     """
     if isinstance(value, bool):
         raise InputError(f"not a rational literal: {value!r}")
@@ -58,15 +65,7 @@ def parse_degree(value) -> Fraction:
             f"refusing inexact float degree {value!r}: write it as a string, e.g. \"7/10\""
         )
     elif isinstance(value, str):
-        text = value.strip()
-        literal = ("e" in text or "E" in text) and _EXPONENT_LITERAL.fullmatch(text)
-        # Decimal reads an exponent of any length; int stops at the digit limit
-        if literal and abs(Decimal(literal[1].replace("_", ""))) > MAX_EXPONENT:
-            raise InputError(f"degree {value!r} has an exponent beyond {MAX_EXPONENT} in magnitude")
-        try:
-            degree = _parse_rational(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational literal: {value!r}") from exc
+        degree = (_parse_text if len(value) <= MEMO_LENGTH else _parse_text.__wrapped__)(value)
     else:
         raise InputError(f"not a rational literal: {value!r}")
     if not 0 <= degree.numerator <= degree.denominator:
@@ -74,18 +73,32 @@ def parse_degree(value) -> Fraction:
     return degree
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _parse_text(value: str) -> Fraction:
+    text = value.strip()
+    literal = ("e" in text or "E" in text) and _EXPONENT_LITERAL.fullmatch(text)
+    # Decimal reads an exponent of any length; int stops at the digit limit
+    if literal and abs(Decimal(literal[1].replace("_", ""))) > MAX_EXPONENT:
+        raise InputError(f"degree {value!r} has an exponent beyond {MAX_EXPONENT} in magnitude")
+    try:
+        return _parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational literal: {value!r}") from exc
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ValueError:
         # past the interpreter's int/str digit limit, "p/q" and plain decimal
-        # literals still convert exactly through Decimal
+        # literals still convert exactly
         match = re.fullmatch(r"(\d+)/(\d+)|\d*\.?\d+", text)
         if match is None:
             raise
         if match[1] is None:
-            return Fraction(Decimal(text))
-        return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
+            whole, _dot, fraction = text.partition(".")
+            return Fraction(_int(whole + fraction), 10 ** len(fraction))
+        return Fraction(_int(match[1]), _int(match[2]))
 
 
 def format_degree(degree: Fraction) -> str:
@@ -97,7 +110,30 @@ def format_degree(degree: Fraction) -> str:
     try:
         return str(degree)
     except ValueError:
-        return f"{Decimal(degree.numerator)}/{Decimal(degree.denominator)}"
+        with localcontext(_EXACT):
+            return f"{_decimal(degree.numerator)}/{_decimal(degree.denominator)}"
+
+
+# Past the digit limit int(str) refuses, and Decimal(int) and int(Decimal) take
+# quadratic time.  Split in halves, each direction costs about what a product
+# of its size does (Brent & Zimmermann, Modern Computer Arithmetic, 1.7).
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+def _int(digits: str) -> int:
+    """int(digits), for a digit string of any length: hi * 10**k + lo."""
+    if len(digits) <= 3000:
+        return int(digits)
+    k = len(digits) // 2
+    return _int(digits[:-k]) * 10 ** k + _int(digits[-k:])
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n) for n >= 0, in the _EXACT context: hi * 2**w + lo."""
+    if n.bit_length() <= 10000:
+        return Decimal(n)
+    w = n.bit_length() // 2
+    return _decimal(n >> w) * Decimal(2) ** w + _decimal(n & ((1 << w) - 1))
 
 
 class ResiduatedLattice:

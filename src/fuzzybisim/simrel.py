@@ -150,22 +150,24 @@ def _parse_kind(kind) -> bool:
         raise InputError(f"unknown kind {kind!r}; expected sim or bisim") from None
 
 
-def _validate_rel(phi: FuzzyRelation, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> None:
-    """Raise InputError if phi names a state A or A' lacks (the first in sorted order)."""
+def _validate_rel(pairs, a: FuzzyAutomaton, ap: FuzzyAutomaton) -> None:
+    """Raise InputError if a name pair (x, x') names a state A or A' lacks: the
+    least such pair, whatever order pairs come in."""
     states_a = set(a.states)
     states_ap = set(ap.states)
-    for (x, xp), _d in phi.items():
+    bad = [(x, xp) for x, xp in pairs if x not in states_a or xp not in states_ap]
+    if bad:
+        x, xp = min(bad)
         if x not in states_a:
             raise InputError(f"relation references unknown state {x!r} of automaton {a.name!r}")
-        if xp not in states_ap:
-            raise InputError(f"relation references unknown state {xp!r} of automaton {ap.name!r}")
+        raise InputError(f"relation references unknown state {xp!r} of automaton {ap.name!r}")
 
 
 # ---------------------------------------------------------------- checks
 
 def _condition_degree(lat, a, ap, phi, bidir: bool) -> Fraction:
     """S(phi, F(phi)): the degree of the step and terminal conditions."""
-    _validate_rel(phi, a, ap)
+    _validate_rel(phi.support(), a, ap)
     return _Kernel(lat, a, ap, bidir, [d for _key, d in phi.items()]).condition_degree(phi)
 
 
@@ -198,7 +200,7 @@ def sim_norm(lat: ResiduatedLattice, a: FuzzyAutomaton,
     Defined for any relation; meaningful when phi passes the simulation check.
     As every t-norm here commutes, sigma' o phi^-1 is read as phi o sigma'.
     """
-    _validate_rel(phi, a, ap)
+    _validate_rel(phi.support(), a, ap)
     return subsethood(lat, a.sigma, compose_rel_set(lat, phi, ap.sigma))
 
 
@@ -564,7 +566,7 @@ def verify_preservation(lat: ResiduatedLattice, a: FuzzyAutomaton,
     """
     if k < 0:
         raise InputError("word length bound must be >= 0")
-    _validate_rel(phi, a, ap)
+    _validate_rel(phi.support(), a, ap)
     bidir = _parse_kind(kind)
 
     # the vector of s.w is delta_s o (the vector of w); a vector seen before

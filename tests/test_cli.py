@@ -242,6 +242,17 @@ def test_product_decay_reaches_a_huge_cap_in_bounded_time(capsys, tmp_path):
         "5fe0e9c394b58240e0e7bd6a620d87eb8e42e1c95f824dccec8d57d40e942093")
 
 
+def test_product_decay_prints_million_digit_degrees_in_bounded_time(capsys, tmp_path):
+    # at sweep 10^6 one degree's terms take 2.3 M bits: printed in halves, not
+    # through a quadratic int-to-text conversion, which took about 15 s
+    with time_limit(5):
+        code, out, _ = run(capsys, "greatest-sim", *_r1_files(tmp_path), "--lattice", "product",
+                           "--max-iters", "1000000")
+    assert code == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c077db05d644741640c3a13a9322978c1d01b086b34d0073a6d1375ac321863")
+
+
 @pytest.mark.parametrize("command", ["greatest-sim", "greatest-bisim"])
 def test_product_decay_past_the_jump_bound_is_non_convergence(capsys, tmp_path, command):
     # at 10^12 sweeps r1's degrees would take about 10^12 bits each: the run is

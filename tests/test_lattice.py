@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +15,11 @@ from fuzzybisim import (
     format_degree,
     parse_degree,
 )
+from fuzzybisim import fuzzyrel, lattice
 from fuzzybisim.errors import InputError
+from fuzzybisim.fuzzyrel import parse_relation
+
+from conftest import time_limit
 
 LATTICES = (GOEDEL, LUKASIEWICZ, PRODUCT)
 SEEDS = {"godel": 11, "lukasiewicz": 12, "product": 13}
@@ -118,6 +123,58 @@ def test_format_degree():
     for bad in ("1" * 5000 + "/0", "2" * 5000 + "/" + "1" * 5000, "-" + "1" * 5000):
         with pytest.raises(InputError):
             parse_degree(bad)
+
+
+def test_degree_text_round_trips_past_the_digit_limit():
+    # 10^5-digit terms, about ten times slower through the quadratic conversions
+    k = 100_000
+    degree = Fraction((10 ** k - 1) // 9, 10 ** k)
+    with time_limit(3):
+        text = format_degree(degree)
+        assert text == "1" * k + "/1" + "0" * k
+        assert parse_degree(text) == degree
+        assert parse_degree("0." + "1" * k) == degree
+        assert parse_degree("." + "0" * (k - 1) + "1") == Fraction(1, 10 ** k)
+
+
+def test_repeated_literals_share_one_parse():
+    before = lattice._parse_text.cache_info()
+    literal = "37/101"
+    first, second = parse_degree(literal), parse_degree(literal)
+    assert first == second == Fraction(37, 101) and first is second
+    assert lattice._parse_text.cache_info().hits >= before.hits + 1
+    assert parse_degree(" 74/202 ") == parse_degree("0.5") * Fraction(74, 101)
+
+
+def test_a_long_literal_is_parsed_but_not_remembered():
+    literal = "1/1" + "0" * lattice.MEMO_LENGTH + "3"
+    assert len(literal) > lattice.MEMO_LENGTH
+    before = lattice._parse_text.cache_info()
+    assert parse_degree(literal) == Fraction(1, 10 ** (lattice.MEMO_LENGTH + 1) + 3)
+    assert parse_degree(literal) == Fraction(1, 10 ** (lattice.MEMO_LENGTH + 1) + 3)
+    after = lattice._parse_text.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                           before.currsize)
+
+
+def test_a_repeated_bad_literal_raises_at_its_first_entry_every_time(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fuzzyrel, "parse_degree", lambda v: calls.append(v) or parse_degree(v))
+    text = json.dumps([{"from": x, "to": "b", "degree": d}
+                       for x, d in (("a", "1/2"), ("b", "3/0"), ("c", "1/2"), ("d", "3/0"))])
+    for _ in range(3):
+        calls.clear()
+        with pytest.raises(InputError) as err:
+            parse_relation(text)
+        assert str(err.value) == "not a rational literal: '3/0'"
+        assert calls == ["1/2", "3/0"]
+    for bad in ("3/0", "7/5", "2e-99999"):
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(InputError) as err:
+                parse_degree(bad)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=lambda lat: lat.kind)
