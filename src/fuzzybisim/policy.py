@@ -29,39 +29,35 @@ needs F(phi_k) > 0 on S.
   (b) the chosen constraint's composition is delta * f_i, so as f_i <= 1
   its residuum is f_i; by (c) every other residuum is at least f_i; with
   (a) their meet with phi_0(i) is f_i.  Off S both are 0.
-* Why endpoint checks suffice.  psi_t is positive on S, a product of
-  positive factors and phi_k or phi_0.  On each residue class
-  t = t0 + c + P*m every term in (a)-(c), psi_t(j) and f_i = psi_{t+1}(i)
-  alike, is A * rho^m with A, rho > 0, so each comparison is monotone in
-  m.  Holding at the class's least and greatest m, it holds between.  So
-  with T = cap - 1 - k the jump checks t = 0 ... t0+P-1 by iterating M,
-  and the last t of each class below T by iterating M again, at most 2P
-  steps, from psi_{t0+mP} computed directly as psi_{t0} * r^m.  Then
-  F^t(phi_k) = psi_t up to t = T by induction, and the last sweep is an
-  ordinary refine, so `converged` is decided as without the jump.
+* Why the first window and the ratios suffice.  psi_t is positive on S, a
+  product of positive factors and phi_k or phi_0.  The jump checks the
+  saddle condition at t = 0 ... t0+P-1 by iterating M.  On each residue
+  class t = t0 + c + P*m every term in (a)-(c), psi_t(j) and
+  f_i = g_i * psi_t(j_i) alike, is A * rho^m with A > 0 and rho the ratio
+  r_j of its pair, or 1 for phi_0(i).  A comparison A * rho^m <= B * sigma^m
+  that holds at m = 0, in the window, holds for every m when rho <= sigma,
+  and the jump checks that order for every comparison.  Then
+  F^t(phi_k) = psi_t for every t by induction, and with T = cap - 1 - k and
+  (m, c) = divmod(T - t0, P) the target psi_T is psi_{t0+c} * r^m.  The
+  last sweep is an ordinary refine, so `converged` is decided as without
+  the jump.  Before raising r to the m-th power the jump estimates psi_T's
+  size; past MAX_JUMP_BITS it returns the estimate, for _greatest to raise
+  NonConvergenceError, as no sweep up to the cap repeats (next paragraph).
 * Why no sweep inside the jump converges.  If some r_i != 1 the M-orbit
   never repeats: psi_a = psi_{a+1} would keep it constant, making every
   r_i 1.  The sweeps stop only on a repeat, so they too reach the cap.  If
   every r_i is 1 the run keeps sweeping.
-* A trap.  Checking F(psi) == M(psi) at the endpoints is not enough: a
-  non-chosen constraint's maximum over two edges is no A * rho^m and can
-  dip below f_i between them.  Fixing one edge per constraint is what
-  makes each comparison monotone; it bounds that maximum from below, so
-  (c) still suffices.
-* When it does not apply.  If a check fails, or checking would cost more
-  sweeps than were run or remain (t0 + 3P > min(k, T)), the run keeps
-  sweeping.  Attempts double their spacing, so refused ones cost a bounded
-  share of the sweeps.  Equal terms at phi_k are told apart by their
-  values at F(phi_k).
-* When the target is too large.  Before raising the ratios to the m-th
-  power the jump estimates the target's size.  Past MAX_JUMP_BITS it
-  checks the last window without computing it: each comparison in
-  (a)-(c), A * rho^m against B * sigma^m, held at m = 0 in the first
-  window, so it holds for every m when rho and sigma order the same way
-  (rho <= sigma for a <=).  If every comparison passes, F^t(phi_k) = psi_t
-  for every t, no sweep up to the cap repeats, and jump returns the
-  estimate for _greatest to raise NonConvergenceError.  Otherwise the run
-  keeps sweeping.
+* A trap.  Checking F(psi) == M(psi) in the window, with only the chosen
+  terms' ratios ordered, is not enough: a non-chosen constraint's maximum
+  over two edges is no A * rho^m, and can dip below f_i later.  Fixing one
+  edge per constraint makes each comparison one of two geometric
+  sequences; that edge bounds the maximum from below, so (c) suffices.
+* When it does not apply.  If a check fails, or the window would take more
+  sweeps than were run or remain (t0 + P > min(k, T)), the run keeps
+  sweeping.  So does a policy that holds up to the cap but not for ever;
+  the plain sweeps give the same relation.  Attempts double their spacing,
+  so refused ones cost a bounded share of the sweeps.  Equal terms at
+  phi_k are told apart by their values at F(phi_k).
 """
 
 from __future__ import annotations
@@ -70,10 +66,10 @@ import math
 
 # The most bits a numerator or denominator of the jumped iterate may take, by
 # the estimate turns * (largest bit length of a ratio's terms).  A run past it
-# whose policy holds up to its cap cannot stabilize within it, and writing its
+# cannot stabilize within its cap, as its policy holds for ever, and writing its
 # iterate out would outgrow memory or printing time: corpus pair r1's product
-# simulation is estimated at 3.0 M bits at a cap of 10^6 (printed in 17 s),
-# 30 M at 10^7 and 3 * 10^12 (375 GB) at 10^12.  Such a run ends in
+# simulation is estimated at 3.0 M bits at a cap of 10^6 (printed in under a
+# second), 30 M at 10^7 and 3 * 10^12 (375 GB) at 10^12.  Such a run ends in
 # NonConvergenceError instead.
 MAX_JUMP_BITS = 1 << 24
 
@@ -116,10 +112,9 @@ def record(kernel, phi: list) -> list:
 
 def jump(kernel, phi: list, done: int, steps: int):
     """The iterate `steps` sweeps after phi = phi_done, when the policy at phi
-    provably sets every sweep in between, else None.  Product codec only,
+    provably sets every sweep from phi on, else None.  Product codec only,
     whose codes are the degrees themselves.  When that iterate would take
-    more than MAX_JUMP_BITS, the estimate in bits instead, if the policy
-    provably holds for ever, else None."""
+    more than MAX_JUMP_BITS, the estimate in bits instead."""
     policy = record(kernel, phi)
     if any(w is None for _i, _c, constraints in policy for _d, _e, w in constraints):
         return None                     # some F(phi)(i) is 0: the support shrinks
@@ -163,35 +158,29 @@ def jump(kernel, phi: list, done: int, steps: int):
             depth += 1
             level[b] = depth
     tail = max(level.values(), default=0)
-    if tail + 3 * period > min(done, steps):
+    if tail + period > min(done, steps):
         return None
-    psi = [phi[i] for i, _c, _cons in policy]
+    psi, window = [phi[i] for i, _c, _cons in policy], []
     for t in range(tail + period):
-        if t == tail:
-            base = psi
+        if t >= tail:
+            window.append(psi)
         psi = step(psi)
         if psi is None:
             return None
-    ratio = [q / p for p, q in zip(base, psi)]
+    ratio = [q / p for p, q in zip(window[0], psi)]
     if all(r == 1 for r in ratio):
         return None                     # periodic: the plain sweeps stabilize
-    # from psi_{t0 + turns * P} on, the window holds every class's last t before steps
-    turns = (steps - period - tail) // period
+    # each comparison's sides go as the ratios of their pairs, or 1 for a constant
+    for src, _g, _top, lower, upper in rules:
+        rf = 1 if src is None else ratio[src]
+        if rf > 1 or any(ratio[b] < rf for _h, b in lower) \
+                or any(ratio[b] > rf for _h, b in upper):
+            return None
+    turns, phase = divmod(steps - tail, period)
     bits = turns * max(max(r.numerator.bit_length(), r.denominator.bit_length()) for r in ratio)
     if bits > MAX_JUMP_BITS:
-        # each comparison's sides go as the ratios of their pairs, or 1 for a constant
-        for src, _g, _top, lower, upper in rules:
-            rf = 1 if src is None else ratio[src]
-            if rf > 1 or any(ratio[b] < rf for _h, b in lower) \
-                    or any(ratio[b] > rf for _h, b in upper):
-                return None
         return bits
-    psi = [p * r ** turns for p, r in zip(base, ratio)]
-    for _ in range(steps - tail - turns * period):
-        psi = step(psi)
-        if psi is None:
-            return None
     out = [kernel.codec.zero] * len(phi)
-    for (i, _c, _cons), v in zip(policy, psi):
-        out[i] = v
+    for (i, _c, _cons), p, r in zip(policy, window[phase], ratio):
+        out[i] = p * r ** turns
     return out

@@ -37,8 +37,8 @@ included.  Exact arithmetic makes that test a plain equality.
 On the product lattice a run can settle into a decay that never
 stabilizes: the same constraints keep setting the same pairs while their
 degrees shrink geometrically.  _greatest jumps such a run to its cap
-exactly, trying at sweeps 8, 16, 32, ...; the policy module states the
-certificate that makes the jump exact, with its proof.
+exactly once one policy provably sets every later sweep, trying at sweeps
+8, 16, 32, ...; the policy module states that certificate, with its proof.
 
 As phi is a bisimulation when phi and phi^-1 are simulations, a sweep
 reads phi as one relation on the joint states of A and A' (_joint), whose
@@ -442,9 +442,9 @@ def greatest_fuzzy_simulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                               ap: FuzzyAutomaton, max_iters=None) -> SimReport:
     """The greatest fuzzy simulation of a by ap, or its max_iters-th iterate.
 
-    Raises NonConvergenceError when a product run is proved unable to
-    stabilize within its cap and its iterate there would take more than
-    policy.MAX_JUMP_BITS bits per degree term.
+    Raises NonConvergenceError when one policy provably sets every sweep of
+    a product run, so that it cannot stabilize, and its iterate at the cap
+    would take more than policy.MAX_JUMP_BITS bits per degree term.
     """
     return _greatest(lat, a, ap, False, max_iters)
 
@@ -453,9 +453,9 @@ def greatest_fuzzy_bisimulation(lat: ResiduatedLattice, a: FuzzyAutomaton,
                                 ap: FuzzyAutomaton, max_iters=None) -> SimReport:
     """The greatest fuzzy bisimulation between a and ap, or its max_iters-th iterate.
 
-    Raises NonConvergenceError when a product run is proved unable to
-    stabilize within its cap and its iterate there would take more than
-    policy.MAX_JUMP_BITS bits per degree term.
+    Raises NonConvergenceError when one policy provably sets every sweep of
+    a product run, so that it cannot stabilize, and its iterate at the cap
+    would take more than policy.MAX_JUMP_BITS bits per degree term.
     """
     return _greatest(lat, a, ap, True, max_iters)
 

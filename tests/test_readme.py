@@ -1,6 +1,7 @@
 """README's `$ fuzzybisim ...` examples, run against tests/fixtures/ and compared
 with the output README shows, so the documentation cannot drift."""
 
+import json
 import shlex
 from pathlib import Path
 
@@ -42,3 +43,18 @@ def test_readme_examples_match_the_cli(capsys, tmp_path, aut_a, aut_ap):
                 else str(sim) if arg == "sim.json" else arg for arg in argv]
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == expected, argv
+
+
+def test_readme_non_convergence_line_matches_the_cli(capsys, tmp_path):
+    # README's error example: product greatest-sim on corpus pair r1 at 10^12 sweeps
+    from make_output_corpus import CORPUS
+    inputs = json.loads(CORPUS.read_text())["inputs"]
+    files = []
+    for name in ("r1-a.json", "r1-b.json"):
+        files.append(tmp_path / name)
+        files[-1].write_text(inputs[name])
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    [expected] = [line for line in lines if line.startswith("error: greatest simulation ")]
+    assert main(["greatest-sim", *map(str, files), "--lattice", "product",
+                 "--max-iters", "1000000000000"]) == 3
+    assert capsys.readouterr() == ("", expected + "\n")

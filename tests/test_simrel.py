@@ -664,11 +664,15 @@ def test_product_jump_matches_plain_sweeps(monkeypatch):
 
     jump = policy.jump
     monkeypatch.setattr(policy, "jump", counted)
-    for seed in range(24):
-        pool = _JUMP_POOLS[seed % 3]
-        a = random_automaton("A", 2 + seed % 4, ["a", "b"], pool, 3000 + seed, density=0.5)
-        ap = random_automaton("B", 2 + seed // 4 % 4, ["a", "b"], pool, 4000 + seed,
-                              density=0.5)
+    pairs = [(random_automaton("A", 2 + seed % 4, ["a", "b"], pool, 3000 + seed, density=0.5),
+              random_automaton("B", 2 + seed // 4 % 4, ["a", "b"], pool, 4000 + seed,
+                               density=0.5))
+             for seed, pool in zip(range(24), itertools.cycle(_JUMP_POOLS))]
+    # the policy at sweep 16 passes the ratio order, but within the first window
+    # an edge of a chosen constraint rises above the chosen edge
+    pairs.append((random_automaton("A", 4, ["a", "b"], _JUMP_POOLS[0], 279, density=0.4),
+                  random_automaton("B", 4, ["a", "b"], _JUMP_POOLS[0], 10279, density=0.4)))
+    for seed, (a, ap) in enumerate(pairs):
         for greatest, kind, norm in ((greatest_fuzzy_simulation, "sim", sim_norm),
                                      (greatest_fuzzy_bisimulation, "bisim", bisim_norm)):
             steps = refinement_steps(PRODUCT, a, ap, kind)
@@ -738,11 +742,10 @@ def test_product_jump_past_its_bit_bound_raises():
             greatest(PRODUCT, a, ap, max_iters=10 ** 12)
 
 
-def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
+def _overtaking_pair():
     """x' reaches y1' at 1 and y2' at 1/10^6; phi(y, y1') halves every sweep and
-    phi(y, y2') loses a tenth, so the y2' edge overtakes near sweep 24.  The
-    policies at sweeps 8 and 16 choose y1' and are refused; the one at 32 jumps.
-    (x, w') reads (y, x') one sweep late, so a wrong jump would show."""
+    phi(y, y2') loses a tenth, so the y2' edge overtakes near sweep 24.  (x, w')
+    reads (y, x') one sweep late, so a wrong jump would show."""
     a = FuzzyAutomaton("A", ["x", "y"], ["a"], {("x", "a", "y"): "1", ("y", "a", "y"): "1"},
                        {"x": "1"}, {"x": "1", "y": "1"})
     ap = FuzzyAutomaton("B", ["w'", "x'", "y1'", "y2'"], ["a"],
@@ -750,12 +753,33 @@ def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
                          ("x'", "a", "y2'"): "1/1000000", ("y1'", "a", "y1'"): "1/2",
                          ("y2'", "a", "y2'"): "9/10"},
                         {"x'": "1"}, {"w'": "1", "x'": "1", "y1'": "1", "y2'": "1"})
+    return a, ap
+
+
+def test_product_jump_waits_until_the_chosen_edge_stays_largest(monkeypatch):
+    # the policies at sweeps 8 and 16 choose y1' and are refused; the one at 32 jumps
+    a, ap = _overtaking_pair()
     attempts = _jump_attempts(monkeypatch)
     report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=200)
     steps = refinement_steps(PRODUCT, a, ap, "sim")
     assert report.relation == next(itertools.islice(steps, 200, None))
     assert (report.iterations, report.converged) == (200, False)
     assert attempts == [(8, False), (16, False), (32, True)]
+
+
+def test_product_jump_refuses_a_policy_that_holds_only_up_to_the_cap(monkeypatch):
+    """Up to caps 16-24 the y1' edge stays largest, so the policy at sweep 8
+    sets every sweep up to the cap; but the y2' edge shrinks slower, so it
+    does not hold for ever.  The jump is refused and the plain sweeps report."""
+    a, ap = _overtaking_pair()
+    attempts = _jump_attempts(monkeypatch)
+    iterates = list(itertools.islice(refinement_steps(PRODUCT, a, ap, "sim"), 25))
+    for cap in (16, 20, 24):
+        attempts.clear()
+        report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=cap)
+        assert attempts and not any(taken for _done, taken in attempts), cap
+        assert report.relation == iterates[cap], cap
+        assert (report.iterations, report.converged) == (cap, False)
 
 
 def test_product_jump_refuses_a_policy_whose_ratios_are_all_1(monkeypatch):
@@ -802,9 +826,9 @@ def _two_cycles(name, prime, degrees):
 
 def test_product_jump_period_is_the_lcm_of_the_cycles(monkeypatch):
     """A' decays around a 2-cycle and a 3-cycle, so the policy repeats every 6
-    sweeps.  A period of 3 would pass the window check at sweep 16 and jump to
-    the wrong iterate; with 6 the attempts at 8 and 16 are refused, and the one
-    at 32 jumps once the cap leaves room for three periods past the tail."""
+    sweeps.  The attempt at sweep 8 jumps at every cap, reading the target off
+    the window at the cap's phase; a period of 3 would jump to the wrong
+    iterate."""
     a = _two_cycles("A", "", ["1"] * 5)
     ap = _two_cycles("B", "'", ["1/2", "1/5", "1/3", "2/7", "3/4"])
     attempts = _jump_attempts(monkeypatch)
@@ -814,7 +838,7 @@ def test_product_jump_period_is_the_lcm_of_the_cycles(monkeypatch):
         report = greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=cap)
         assert report.relation == iterates[cap], cap
         assert (report.iterations, report.converged) == (cap, False)
-        assert attempts == [(8, False), (16, False), (32, cap >= 100)], cap
+        assert attempts == [(8, True)], cap
     with time_limit(5), pytest.raises(NonConvergenceError, match="within 1000000000000 "):
         greatest_fuzzy_simulation(PRODUCT, a, ap, max_iters=10 ** 12)
 
