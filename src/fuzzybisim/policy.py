@@ -1,17 +1,16 @@
 """The choices that set one refinement sweep, and the product jump they certify.
 
-`record` reads the policy at an iterate off a `simrel._Kernel`'s own
-composition and meet, in every lattice.  `jump` is the product fixpoint's
-certified jump to its cap.  Only product fixpoints that reach a jump attempt
+`record` reads the policy at an iterate off a `simrel._Kernel`'s joint
+transitions, in every lattice.  `jump` is the product fixpoint's certified
+jump to its cap.  Only product fixpoints that reach a jump attempt
 import this module, so no other command compiles or loads it.
 
 On the product lattice a run can settle into a decay that never
 stabilizes: the same constraints keep setting the same pairs while their
 degrees shrink geometrically.  _greatest jumps such a run to its cap
-exactly.  At sweeps k = 8, 16, 32, ... it records the policy at phi_k
-(record, read off refine's own composition and meet): for each
-pair i of the support S, the term that set F(phi_k)(i), either phi_0(i)
-or a constraint with an edge attaining its composition, worth
+exactly.  At sweeps k = 8, 16, 32, ... it records the policy at phi_k:
+for each pair i of the support S, the term that set F(phi_k)(i), either
+phi_0(i) or a constraint with an edge attaining its composition, worth
 f_i = g_i * phi_k(j_i) with g_i = delta'_s(x', y') / delta_s(x, y); and
 for every constraint of i one edge attaining its composition.  A jump
 needs F(phi_k) > 0 on S.
@@ -30,15 +29,19 @@ needs F(phi_k) > 0 on S.
   its residuum is f_i; by (c) every other residuum is at least f_i; with
   (a) their meet with phi_0(i) is f_i.  Off S both are 0.
 * Why the first window and the ratios suffice.  psi_t is positive on S, a
-  product of positive factors and phi_k or phi_0.  The jump checks the
-  saddle condition at t = 0 ... t0+P-1 by iterating M.  On each residue
-  class t = t0 + c + P*m every term in (a)-(c), psi_t(j) and
-  f_i = g_i * psi_t(j_i) alike, is A * rho^m with A > 0 and rho the ratio
-  r_j of its pair, or 1 for phi_0(i).  A comparison A * rho^m <= B * sigma^m
-  that holds at m = 0, in the window, holds for every m when rho <= sigma,
-  and the jump checks that order for every comparison.  Then
-  F^t(phi_k) = psi_t for every t by induction, and with T = cap - 1 - k and
-  (m, c) = divmod(T - t0, P) the target psi_T is psi_{t0+c} * r^m.  The
+  product of positive factors and phi_k or phi_0.  The jump checks (b)
+  and (c) at t = 0 ... t0+P-1 by iterating M.  On each residue class
+  t = t0 + c + P*m each of their terms, psi_t(j) and f_i = g_i * psi_t(j_i)
+  alike, is A * rho^m with A > 0 and rho the ratio r_j of its pair, or 1
+  for phi_0(i).  A comparison A * rho^m <= B * sigma^m that holds at m = 0,
+  in the window, holds for every m when rho <= sigma, and the jump checks
+  that order for every comparison.  (a) holds for phi_0 terms, and for a
+  constraint at phi_k when f_i <= 1, which the jump checks: the record
+  makes F(phi_k)(i) = min(1, f_i), and f_i > 1 where a pair at 1 starts to
+  drop.  Later the iterates decrease: for iterates psi_{t-1} and psi_t,
+  f_i = g_i * psi_t(j_i) <= g_i * psi_{t-1}(j_i) = psi_t(i) <= phi_0(i).
+  So F^t(phi_k) = psi_t for every t by induction, and with T = cap - 1 - k
+  and (m, c) = divmod(T - t0, P) the target psi_T is psi_{t0+c} * r^m.  The
   last sweep is an ordinary refine, so `converged` is decided as without
   the jump.  Before raising r to the m-th power the jump estimates psi_T's
   size; past MAX_JUMP_BITS it returns the estimate, for _greatest to raise
@@ -84,21 +87,17 @@ def record(kernel, phi: list) -> list:
     is None when phi_0(i) is.  Among equal terms at phi, each choice takes
     the one that is still best at F(phi), then the first."""
     n, m, bidir, phi0 = len(kernel.a.states), len(kernel.ap.states), kernel.bidir, kernel.phi0
-    size, block = n + m, (n + m) ** 2
-    tnorm, residuum = kernel.codec.tnorm, kernel.codec.residuum
-    support = [i for i, v in enumerate(phi) if v]
-    comp, nxt = kernel.compose(phi, support), kernel.refine(phi)
+    tnorm, residuum, zero = kernel.codec.tnorm, kernel.codec.residuum, kernel.codec.zero
+    support, nxt = [i for i, v in enumerate(phi) if v], kernel.refine(phi)
     out = []
     for i in support:
         x, xp = divmod(i, m)
         chosen, constraints = None, []
         best = phi0[i] if nxt[i] == phi0[i] else None   # the chosen term at F(phi)
         for p, q in ((x, n + xp), (n + xp, x))[:1 + bidir]:
-            for col, d in kernel.succ[p]:
-                v, c = col % block, comp[q * size + col]
-                s0 = col - v                # where symbol s's columns start
-                edges = [(e, min(k - s0, v) * m + max(k - s0, v) - n)
-                         for k, e in kernel.succ[q] if s0 <= k < s0 + block]
+            for adj, v, d in [(adj, v, d) for adj in kernel.adj for v, d in adj[p]]:
+                edges = [(e, min(u, v) * m + max(u, v) - n) for u, e in adj[q]]
+                c = max((tnorm(e, phi[j]) for e, j in edges), default=zero)
                 w = max((k for k, (e, j) in enumerate(edges) if c and tnorm(e, phi[j]) == c),
                         key=lambda k: tnorm(edges[k][0], nxt[edges[k][1]]), default=None)
                 if residuum(d, c) == nxt[i]:
@@ -119,24 +118,25 @@ def jump(kernel, phi: list, done: int, steps: int):
     if any(w is None for _i, _c, constraints in policy for _d, _e, w in constraints):
         return None                     # some F(phi)(i) is 0: the support shrinks
     pos = {i: b for b, (i, _c, _cons) in enumerate(policy)}
-    rules = []                          # (source, factor or constant, phi_0, lower, upper)
+    rules = []                          # (source, factor or constant, lower, upper)
     for i, chosen, constraints in policy:
         lower = [(edges[w][0] / d, pos[edges[w][1]])
                  for c, (d, edges, w) in enumerate(constraints) if c != chosen]
         if chosen is None:
-            rules.append((None, kernel.phi0[i], kernel.phi0[i], lower, []))
+            rules.append((None, kernel.phi0[i], lower, []))
             continue
         d, edges, w = constraints[chosen]
+        if edges[w][0] * phi[edges[w][1]] > d:
+            return None                 # F(phi)(i) = 1 < f_i: (a) fails at phi
         upper = [(e / d, pos[j]) for k, (e, j) in enumerate(edges) if k != w and j in pos]
-        rules.append((pos[edges[w][1]], edges[w][0] / d, kernel.phi0[i], lower, upper))
+        rules.append((pos[edges[w][1]], edges[w][0] / d, lower, upper))
 
     def step(psi):
         """M(psi), or None if the saddle condition fails at psi."""
         out = []
-        for src, g, top, lower, upper in rules:
+        for src, g, lower, upper in rules:
             f = g if src is None else g * psi[src]
-            if f > top or any(h * psi[b] < f for h, b in lower) \
-                    or any(h * psi[b] > f for h, b in upper):
+            if any(h * psi[b] < f for h, b in lower) or any(h * psi[b] > f for h, b in upper):
                 return None
             out.append(f)
         return out
@@ -171,10 +171,9 @@ def jump(kernel, phi: list, done: int, steps: int):
     if all(r == 1 for r in ratio):
         return None                     # periodic: the plain sweeps stabilize
     # each comparison's sides go as the ratios of their pairs, or 1 for a constant
-    for src, _g, _top, lower, upper in rules:
+    for src, _g, lower, upper in rules:
         rf = 1 if src is None else ratio[src]
-        if rf > 1 or any(ratio[b] < rf for _h, b in lower) \
-                or any(ratio[b] > rf for _h, b in upper):
+        if any(ratio[b] < rf for _h, b in lower) or any(ratio[b] > rf for _h, b in upper):
             return None
     turns, phase = divmod(steps - tail, period)
     bits = turns * max(max(r.numerator.bit_length(), r.denominator.bit_length()) for r in ratio)

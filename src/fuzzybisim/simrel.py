@@ -291,10 +291,11 @@ class _Kernel:
     numbered by their position; the code of 0 is the only falsy code.  The
     codec also covers the extra degrees, those of a relation to check.
 
-    The transitions are _joint's: A's states are 0..n-1, A''s n..n+m-1.  A
-    sweep reads phi as a relation phi~ on joint states, phi(y, y') at
-    (n + y', y) and for bisimulations also at (y, n + y').  One composition
-    comp_s = delta_s o phi~ over the joint edges serves both constraints:
+    The transitions are _joint's, as adj[s][u] = [(v, delta_s(u, v))]: A's
+    states are 0..n-1, A''s n..n+m-1.  A sweep reads phi as a relation phi~
+    on joint states, phi(y, y') at (n + y', y) and for bisimulations also at
+    (y, n + y').  One composition comp_s = delta_s o phi~ over the joint
+    edges serves both constraints:
 
         (delta'_s o phi^-1)(x', y) = comp_s(n + x', y)     forward
         (delta_s o phi)(x, y')     = comp_s(x, n + y')     mirrored
@@ -302,54 +303,48 @@ class _Kernel:
     Either is, in direction (p, q), the meet over s and the joint
     transitions delta_s(p, v) of delta_s(p, v) -> comp_s(q, v).  A pair
     (x, x') is checked in direction (x, n + x'), and for bisimulations in
-    (n + x', x) too.
+    (n + x', x) too.  Only refine lays the compositions out; succ holds each
+    joint state's transitions as its column offsets into that layout.
     """
 
-    __slots__ = ("a", "ap", "bidir", "codec", "edges", "succ", "phi0")
+    __slots__ = ("a", "ap", "bidir", "codec", "adj", "succ", "phi0")
 
     def __init__(self, lat, a, ap, bidir: bool, extra=()):
         self.a, self.ap, self.bidir = a, ap, bidir
         self.codec, tau, steps = _joint(lat, a, ap, extra)
         n, size = len(a.states), len(tau)
-        # every comp_s in one flat list, comp_s(u, w) at (s * size + u) * size + w:
-        # per symbol the edges as (offset of row u, v, code), and per joint
-        # state u its transitions as (offset of column v, code)
-        self.edges, self.succ = [], [[] for _ in range(size)]
-        for s, (_sym, edges) in enumerate(steps):
-            self.edges.append([((s * size + u) * size, v, d) for u, v, d in edges])
+        self.adj = [[[] for _ in range(size)] for _ in steps]
+        for out, (_sym, edges) in zip(self.adj, steps):
             for u, v, d in edges:
-                self.succ[u].append((s * size * size + v, d))
+                out[u].append((v, d))
+        self.succ = [[(s * size * size + v, d) for s, out in enumerate(self.adj)
+                      for v, d in out[u]] for u in range(size)]
         op = self.codec.op(bidir)
         self.phi0 = [op(t, tp) for t in tau[:n] for tp in tau[n:]]
 
-    def compose(self, phi: list, support: list) -> list:
-        """Every comp_s = delta_s o phi~, flat, for phi with the given support."""
+    def refine(self, phi: list) -> list:
+        """F(phi) = phi_0 /\\ G(phi) on phi's support, 0 elsewhere: one Jacobi
+        sweep, every pair computed from phi alone."""
         n, m, bidir = len(self.a.states), len(self.ap.states), self.bidir
-        size, tnorm = n + m, self.codec.tnorm
+        size, tnorm, residuum, zero = n + m, self.codec.tnorm, self.codec.residuum, self.codec.zero
+        support = [i for i, v in enumerate(phi) if v]
         rows = [[] for _ in range(size)]        # v -> [(w, phi~(v, w))]
         for i in support:
             y, yp = divmod(i, m)
             rows[n + yp].append((y, phi[i]))
             if bidir:
                 rows[y].append((n + yp, phi[i]))
-        comp = [self.codec.zero] * (len(self.edges) * size * size)
-        for edges in self.edges:
-            for base, v, d in edges:
-                for w, e in rows[v]:
-                    c = tnorm(d, e)
-                    if c > comp[base + w]:
-                        comp[base + w] = c
-        return comp
-
-    def refine(self, phi: list) -> list:
-        """F(phi) = phi_0 /\\ G(phi) on phi's support, 0 elsewhere: one Jacobi
-        sweep, every pair computed from phi alone."""
-        n, m, bidir = len(self.a.states), len(self.ap.states), self.bidir
-        size, residuum, zero = n + m, self.codec.residuum, self.codec.zero
-        support = [i for i, v in enumerate(phi) if v]
-        comp = self.compose(phi, support)
-        nxt = [zero] * (n * m)
-        phi0, succ = self.phi0, self.succ
+        # every comp_s = delta_s o phi~ in one flat list, comp_s(u, w) at (s * size + u) * size + w
+        comp, base = [zero] * (len(self.adj) * size * size), 0
+        for adj in self.adj:
+            for out in adj:
+                for v, d in out:
+                    for w, e in rows[v]:
+                        c = tnorm(d, e)
+                        if c > comp[base + w]:
+                            comp[base + w] = c
+                base += size
+        nxt, phi0, succ = [zero] * (n * m), self.phi0, self.succ
         for i in support:
             x, xp = divmod(i, m)
             v = phi0[i]

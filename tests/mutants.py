@@ -26,15 +26,13 @@ MUTANTS = [
     ("fuzzybisim/policy.py", "period = math.lcm(period, ", "period = max(period, ",
      [SIMREL + "test_product_jump_period_is_the_lcm_of_the_cycles"]),
     ("fuzzybisim/policy.py",
-     "if rf > 1 or any(ratio[b] < rf for _h, b in lower) \\\n"
-     "                or any(ratio[b] > rf for _h, b in upper):", "if False:",
+     "any(ratio[b] < rf for _h, b in lower) or any(ratio[b] > rf for _h, b in upper)", "False",
      [SIMREL + "test_product_jump_refuses_a_policy_that_holds_only_up_to_the_cap",
       SIMREL + "test_product_jump_waits_until_the_chosen_edge_stays_largest",
       "tests/test_cli.py::test_converging_run_past_the_jump_bound_keeps_sweeping"]),
-    ("fuzzybisim/policy.py",
-     " \\\n                    or any(h * psi[b] > f for h, b in upper):", ":",
+    ("fuzzybisim/policy.py", " or any(h * psi[b] > f for h, b in upper):", ":",
      [SIMREL + "test_product_jump_matches_plain_sweeps"]),
-    ("fuzzybisim/policy.py", " or any(h * psi[b] < f for h, b in lower)", "",
+    ("fuzzybisim/policy.py", "any(h * psi[b] < f for h, b in lower) or ", "",
      [SIMREL + "test_greatest_simulation_is_monotone_in_a_prime_and_antitone_in_a[product]"]),
     ("fuzzybisim/policy.py", "window[phase]", "window[0]",
      [SIMREL + "test_product_jump_period_is_the_lcm_of_the_cycles"]),
@@ -44,6 +42,24 @@ MUTANTS = [
      [SIMREL + "test_product_jump_refuses_a_policy_whose_ratios_are_all_1"]),
     ("fuzzybisim/policy.py", "later < best", "later <= best",
      [SIMREL + "test_policy_record_breaks_a_tie_by_the_first_constraint"]),
+    ("fuzzybisim/policy.py", "c = max((tnorm(e, phi[j])", "c = min((tnorm(e, phi[j])",
+     [SIMREL + "test_policy_reproduces_every_iterate[product]"]),
+    ("fuzzybisim/policy.py", "if edges[w][0] * phi[edges[w][1]] > d:", "if False:",
+     ["tests/test_policy.py::test_product_jump_waits_while_a_pair_at_1_starts_to_drop"]),
+    ("fuzzybisim/hmlogic.py", "sorted(new)[:room]", "sorted(new)[-room:]",
+     ["tests/test_hmlogic.py::test_constant_pool"]),
+    ("fuzzybisim/simrel.py", "op(t, tp)", "op(tp, t)",
+     ["tests/test_cli.py::test_zero_cap_prints_the_terminal_residuum",
+      SIMREL + "test_greatest_matches_oracle[godel-one-sided]"]),
+    ("fuzzybisim/simrel.py", "for p, q in ((x, n + xp), (n + xp, x))[:1 + bidir]:",
+     "for p, q in ((x, n + xp), (n + xp, x))[:1]:",
+     [SIMREL + "test_greatest_matches_oracle[godel-one-sided]",
+      SIMREL + "test_crisp_checks_match_oracle[godel]"]),
+    ("fuzzybisim/simrel.py", "for col, d in succ[p]:", "for col, d in succ[p][:-1]:",
+     [SIMREL + "test_greatest_matches_oracle[godel-one-sided]"]),
+    ("fuzzybisim/simrel.py", "_joint(lat, a, ap, sigmas, scaled=True)",
+     "_joint(lat, a, ap, sigmas[:len(a.sigma.items())], scaled=True)",
+     [SIMREL + "test_preservation_matches_word_by_word_evaluation[product]"]),
 ]
 
 
