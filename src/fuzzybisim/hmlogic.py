@@ -60,7 +60,7 @@ from typing import NamedTuple, Union
 from .automata import FuzzyAutomaton, delta_rel
 from .errors import InputError
 from .fuzzyrel import FuzzyRelation, FuzzySet, compose_rel_set
-from .lattice import ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
+from .lattice import LITERAL, ONE, ZERO, ResiduatedLattice, format_degree, parse_degree
 from .simrel import _back_step, _converged_greatest, _joint, _parse_kind, _readout
 
 DEFAULT_POOL_CAP = 64
@@ -293,7 +293,10 @@ def format_formula(w: Formula) -> str:
     if isinstance(w, Tau):
         return "T"
     if isinstance(w, Step):
-        return f"<{w.symbol}> {format_formula(w.body)}"
+        if not re.fullmatch(_SYMBOL, w.symbol):
+            raise InputError(f"symbol {w.symbol!r} cannot be written in a formula")
+        # "<->" would lex as the two-sided guard
+        return f"<{' - ' if w.symbol == '-' else w.symbol}> {format_formula(w.body)}"
     if isinstance(w, Implies):
         return f"({format_degree(w.constant)} -> {format_formula(w.body)})"
     if isinstance(w, Iff):
@@ -303,16 +306,18 @@ def format_formula(w: Formula) -> str:
     raise InputError(f"not a formula node: {w!r}")
 
 
-_TOKEN_RE = re.compile(r"""
+# a step names a symbol without whitespace, "<" or ">"
+_SYMBOL = r"[^<>\s]+"
+_TOKEN_RE = re.compile(rf"""
     \s*(?:
       (?P<lpar>\()
     | (?P<rpar>\))
     | (?P<amp>&)
     | (?P<iff><->)
     | (?P<arrow>->)
-    | (?P<step><\s*(?P<sym>[^<>\s]+)\s*>)
+    | (?P<step><\s*(?P<sym>{_SYMBOL})\s*>)
     | (?P<tau>T\b)
-    | (?P<rat>[+-]?\.?\d(?:[eE][+-]|[\w./])*)
+    | (?P<rat>{LITERAL.pattern})
     )""", re.VERBOSE)
 
 # deepest nesting of steps, guards and conjunctions parse_formula accepts;

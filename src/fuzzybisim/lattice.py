@@ -31,13 +31,16 @@ ONE = Fraction(1)
 
 _KINDS = ("godel", "lukasiewicz", "product")
 
-# Largest exponent magnitude a decimal degree literal may carry: Fraction
-# expands "1e-N" into an N-digit power of ten, which takes seconds once N
-# reaches the millions.  4300 is the interpreter's default int/str digit limit.
+# Largest exponent magnitude a decimal degree literal may carry: "1e-N"
+# expands into an N-digit power of ten, which takes seconds once N reaches
+# the millions.  4300 is the interpreter's default int/str digit limit.
 MAX_EXPONENT = 4300
-# a decimal literal with an exponent, in the syntax Fraction reads
-_EXPONENT_LITERAL = re.compile(r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
-                               r"[eE]([-+]?\d+(?:_\d+)*)")
+# A degree literal, the strings Fraction reads from Python 3.12 on less the outer
+# whitespace: a sign, then p/q (spaces around "/") or a decimal and an exponent.
+_DIGITS = r"\d+(?:_\d+)*"     # "_" only between digits
+LITERAL = re.compile(rf"(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>(?:{_DIGITS})?)"
+                     rf"(?:\s*/\s*(?P<den>{_DIGITS})|(?:\.(?P<frac>(?:{_DIGITS})?))?"
+                     rf"(?:[eE](?P<exp>[-+]?{_DIGITS}))?)")
 MEMO_LENGTH = 40
 MEMO_SIZE = 1024
 
@@ -45,10 +48,10 @@ MEMO_SIZE = 1024
 def parse_degree(value) -> Fraction:
     """Parse a rational literal into an exact degree in [0, 1].
 
-    Accepts strings like "3/5", "0.7" or "1" (decimals convert exactly, with
-    an exponent of at most MAX_EXPONENT in magnitude), plain ints, and
-    Fraction values.  Floats are rejected: binary floats
-    are inexact and would poison every downstream comparison.
+    Accepts a LITERAL with optional whitespace around it, such as "3/5",
+    "1 / 2", "0.7" or "5e-1" (exact at any length, with an exponent of at most
+    MAX_EXPONENT in magnitude), plain ints, and Fraction values.  Floats are
+    rejected: binary floats are inexact and would poison every comparison.
 
     A string of at most MEMO_LENGTH characters is parsed once while it is
     among the last MEMO_SIZE distinct ones, so a file's repeated literals
@@ -75,30 +78,18 @@ def parse_degree(value) -> Fraction:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _parse_text(value: str) -> Fraction:
-    text = value.strip()
-    literal = ("e" in text or "E" in text) and _EXPONENT_LITERAL.fullmatch(text)
-    # Decimal reads an exponent of any length; int stops at the digit limit
-    if literal and abs(Decimal(literal[1].replace("_", ""))) > MAX_EXPONENT:
-        raise InputError(f"degree {value!r} has an exponent beyond {MAX_EXPONENT} in magnitude")
-    try:
-        return _parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational literal: {value!r}") from exc
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError:
-        # past the interpreter's int/str digit limit, "p/q" and plain decimal
-        # literals still convert exactly
-        match = re.fullmatch(r"(\d+)/(\d+)|\d*\.?\d+", text)
-        if match is None:
-            raise
-        if match[1] is None:
-            whole, _dot, fraction = text.partition(".")
-            return Fraction(_int(whole + fraction), 10 ** len(fraction))
-        return Fraction(_int(match[1]), _int(match[2]))
+    match = LITERAL.fullmatch(value.strip())
+    if match is None:
+        raise InputError(f"not a rational literal: {value!r}")
+    sign, num, den, frac, exp = (g.replace("_", "") for g in match.groups(""))
+    p, q = _int(num + frac), _int(den) if den else 10 ** len(frac)
+    if exp:  # Decimal reads an exponent of any length; int stops at the digit limit
+        if abs(e := Decimal(exp)) > MAX_EXPONENT:
+            raise InputError(f"degree {value!r} has an exponent beyond {MAX_EXPONENT} in magnitude")
+        p, q = (p * 10 ** int(e), q) if e >= 0 else (p, q * 10 ** -int(e))
+    if q == 0:
+        raise InputError(f"not a rational literal: {value!r}")
+    return Fraction(-p if sign == "-" else p, q)
 
 
 def format_degree(degree: Fraction) -> str:

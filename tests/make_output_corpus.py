@@ -214,6 +214,17 @@ def build() -> tuple:
         "bad/formula-guard": ["eval-formula", fa, "--formula", "(3/2 -> T)"],
         "bad/formula-deep": ["eval-formula", fa, "--formula", "<s> " * 600 + "T"],
     })
+    # degree spellings that Fraction reads only on newer interpreters ("1_0/2_0"
+    # from 3.11, "1 / 2" from 3.12); the package reads them on every one
+    inputs["spellings.json"] = json.dumps({
+        "name": "W", "alphabet": ["a"], "states": ["p", "q"], "initial": {"p": "1 / 2"},
+        "terminal": {"q": "+0.5e0"},
+        "transitions": [{"from": "p", "symbol": "a", "to": "q", "degree": "1_0/2_0"}]})
+    for cmd in ("greatest-sim", "greatest-bisim"):
+        cases[f"spellings/{cmd}"] = [cmd, "@spellings.json", "@spellings.json",
+                                     "--output", "text"]
+    cases["spellings/lang"] = ["lang", "@spellings.json", "--word", "a"]
+    cases["spellings/eval-formula"] = ["eval-formula", fa, "--formula", "(1 / 2 -> T)"]
     return inputs, cases
 
 

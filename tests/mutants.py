@@ -20,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIMREL = "tests/test_simrel.py::"
+LATTICE = "tests/test_lattice.py::"
 
 # (file under src/, exact snippet, replacement, test node ids that must fail)
 MUTANTS = [
@@ -60,6 +61,15 @@ MUTANTS = [
     ("fuzzybisim/simrel.py", "_joint(lat, a, ap, sigmas, scaled=True)",
      "_joint(lat, a, ap, sigmas[:len(a.sigma.items())], scaled=True)",
      [SIMREL + "test_preservation_matches_word_by_word_evaluation[product]"]),
+    ("fuzzybisim/lattice.py", '-p if sign == "-" else p', "p",
+     [LATTICE + "test_parse_degree_rejects[-1/2]"]),
+    ("fuzzybisim/lattice.py", 'g.replace("_", "") for g in', "g for g in",
+     [LATTICE + "test_degree_literal_table"]),
+    ("fuzzybisim/lattice.py", "> MAX_EXPONENT:", ">= MAX_EXPONENT:",
+     [LATTICE + "test_parse_degree_exponent_bound"]),
+    ("fuzzybisim/lattice.py", r"\s*/\s*", "/",
+     [LATTICE + "test_degree_literal_table",
+      "tests/test_output_corpus.py::test_output_corpus_replays"]),
 ]
 
 

@@ -98,6 +98,15 @@ def test_format_parse_round_trip():
         format_formula(Step("s", "T"))
 
 
+def test_format_formula_round_trips_or_refuses_a_symbol():
+    # "<->" is the two-sided guard's token, so the symbol "-" is written "< - >"
+    assert format_formula(Step("-", TAU)) == "< - > T"
+    assert parse_formula("< - > T") == Step("-", TAU)
+    for symbol in ("a b", "<", "a>b"):
+        with pytest.raises(InputError, match="cannot be written in a formula"):
+            format_formula(Step(symbol, TAU))
+
+
 def test_formula_nodes_compare_as_records():
     c = Fraction(1, 2)
     # equal fields in another class, or in a plain tuple, make no equal node
@@ -133,7 +142,7 @@ def test_parse_formula_rejects(text):
 
 @pytest.mark.parametrize("literal", [
     "1/2", "0.5", ".5", "5e-1", "5E-1", "1e-1", "+0.5", "1.", "-0", "1_0/2_0",
-    "1e1", "1/0", "2", "0.5.5", "1e", "0x1", "1/2.5",
+    "1e1", "1/0", "2", "0.5.5", "1e", "0x1", "1/2.5", "1 / 2", "1 /2", "1_0 / 2_0",
 ])
 def test_guard_constants_read_like_degrees(literal):
     # one literal grammar: a guard constant parses exactly when parse_degree does

@@ -101,6 +101,31 @@ def test_parse_degree_rejects(bad):
         parse_degree(bad)
 
 
+# past the interpreter's 4300-digit int/str limit: 5000 ones, and 0.3...3 with 5000 threes
+ONES, THIRD = (10 ** 5000 - 1) // 9, Fraction(10 ** 5000 - 1, 3 * 10 ** 5000)
+# the same answer on every interpreter: a value, or the start of the error message
+LITERALS = [
+    ("1 / 2", Fraction(1, 2)), ("1 /2", Fraction(1, 2)), ("1_0/2_0", Fraction(1, 2)),
+    (" +.5e0 ", Fraction(1, 2)),
+    ("1_000.5e-3", "degree '1_000.5e-3' outside [0, 1]"),
+    ("+" + "1" * 5000 + "/1" + "0" * 5000, Fraction(ONES, 10 ** 5000)),
+    ("0." + "_".join("3" * 5000), THIRD),
+    ("0." + "3" * 5000 + "e0", THIRD),
+    ("1" * 5000 + " / " + "1" * 4999 + "2", Fraction(ONES, ONES + 1)),
+    *((bad, "not a rational literal") for bad in ("1__0", "_1", "1_", "+-1", "1.5/2", "1/ ")),
+]
+
+
+def test_degree_literal_table():
+    for literal, expected in LITERALS:
+        if isinstance(expected, Fraction):
+            assert parse_degree(literal) == expected, literal[:20]
+        else:
+            with pytest.raises(InputError) as err:
+                parse_degree(literal)
+            assert str(err.value).startswith(expected), literal
+
+
 def test_parse_degree_exponent_bound():
     assert parse_degree("1e-4300") == Fraction(1, 10 ** 4300)
     assert parse_degree("0.5E-4_300") == Fraction(1, 2 * 10 ** 4300)
